@@ -21,9 +21,11 @@ Two invariants keep that true:
   (:func:`repro.experiments.cellcache.atomic_write_json`) or replicate
   its tmp + fsync + ``os.replace`` discipline; a bare
   ``open(path, "w")`` + ``json.dump`` tears under ``kill -9`` and a
-  torn result store silently loses checkpointed cells.  The one
-  sanctioned bare-open site (the store's own atomic-save internals) is
-  suppressed where it happens, with the reason.
+  torn cache entry or journal silently loses completed cells.  The
+  helper itself writes bytes through ``os.open``, so the rule has no
+  sanctioned exception today; any future one (another durable writer's
+  own atomic-save internals) is suppressed where it happens, with the
+  reason.
 - ``contract-fast-path`` (project rule): registering a
   :class:`~repro.kernel.base.BatchKernel` with ``@batch_kernel`` *is* the
   fast-path opt-in, so every registry entry must be coherent: the kernel's

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.experiments.runner import CellResult, GridResult, run_cell
+from repro.experiments.runner import CellResult, GridResult, run_grid
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import ENGINES, build_frontend, build_policies
 from repro.frontend.options import RunOptions, WorkloadRef
@@ -259,9 +259,10 @@ class SimulationSession:
         """Run every (policy, workload) cell; returns the grid.
 
         Each cell gets fresh front-end state with the policy driving both
-        the I-cache and the BTB, warmed by the paper's rule — the same
-        methodology as :func:`repro.experiments.runner.run_grid`, with the
-        session's engine applied to every cell.
+        the I-cache and the BTB, warmed by the paper's rule.  Without a
+        cache this is the in-memory serial loop
+        :func:`repro.experiments.runner.run_grid`, with the session's
+        config and engine applied to every cell.
 
         With ``options.cache`` set, the sweep runs through the
         content-addressed scheduler: previously computed cells (from any
@@ -286,16 +287,10 @@ class SimulationSession:
                 engine=self.engine,
             )
             return runner.run(workloads, options.policies, progress=progress)
-        grid = GridResult()
-        for workload in workloads:
-            for policy in options.policies:
-                cell = run_cell(
-                    workload, policy, self.config, obs=self.obs, engine=self.engine
-                )
-                grid.add(cell)
-                if progress is not None:
-                    progress(cell)
-        return grid
+        return run_grid(
+            workloads, options.policies, self.config,
+            progress=progress, obs=self.obs, engine=self.engine,
+        )
 
 
 def simulate(

@@ -10,11 +10,13 @@ Subcommands:
   numbers (abstract-style);
 - ``timing``    — run the cycle-approximate timing model on a workload;
 - ``storage``   — print Table I (GHRP and modified-SDBP storage);
-- ``report``    — run a suite grid (with result caching) and write a
-  markdown report;
-- ``grid``      — run a suite grid under the fault-tolerant supervised
-  executor: parallel workers, per-cell timeouts, retries with backoff,
-  and checkpoint-resume (``--resume STORE``); exits 2 on a partial grid;
+- ``report``    — run a suite grid through the content-addressed cache
+  (``--cache-dir DIR``) and write a markdown report;
+- ``grid``      — run a suite grid through the sweep scheduler with the
+  supervised process executor: parallel workers, per-cell timeouts,
+  retries with backoff; ``--cache-dir DIR`` keeps results so a re-run
+  resumes where a killed or partial run stopped; exits 2 on a partial
+  grid;
 - ``trace``     — run one workload with full observability: a structured
   event JSONL (evictions, bypasses, wrong-path episodes, ...) plus a
   metrics and per-phase timing summary;
@@ -363,17 +365,16 @@ def _cmd_storage(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report_markdown import markdown_report
-    from repro.experiments.store import ResultStore, run_grid_cached
+    from repro.experiments.scheduler import SweepScheduler
 
     suite = make_suite(base_seed=args.seed, trace_scale=args.trace_scale)
     config = _config_from(args, "lru")
-    store = ResultStore(args.store)
     obs = _obs_from(args)
     progress = GridProgressReporter(total_cells=len(suite) * len(args.policies))
-    grid = run_grid_cached(
-        suite, list(args.policies), config, store, progress=progress, obs=obs,
-        telemetry=_telemetry_config_from(args),
+    scheduler = SweepScheduler(
+        args.cache_dir, config, obs=obs, telemetry=_telemetry_config_from(args),
     )
+    grid = scheduler.run(suite, list(args.policies), progress=progress)
     report = markdown_report(
         grid,
         title=f"GHRP reproduction report (seed {args.seed})",
@@ -381,7 +382,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(report)
-    print(f"wrote report to {args.output} ({len(store)} cells cached in {args.store})")
+    print(f"wrote report to {args.output} "
+          f"({len(scheduler.cache)} cells cached in {args.cache_dir})")
     _write_metrics(args, obs)
     return 0
 
@@ -409,21 +411,22 @@ def _parse_fault(value: str):
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    import contextlib
+    import tempfile
+
     from repro.experiments.report_markdown import markdown_report
-    from repro.experiments.store import ResultStore
-    from repro.experiments.supervisor import (
-        RetryPolicy,
-        SupervisorConfig,
-        run_grid_supervised,
+    from repro.experiments.scheduler import (
+        SchedulerConfig,
+        SweepScheduler,
+        parse_shard,
     )
+    from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 
     if args.shard and not args.cache_dir:
         raise SystemExit("repro-sim grid: --shard requires --cache-dir")
     suite = make_suite(base_seed=args.seed, trace_scale=args.trace_scale)
     if args.limit is not None:
         suite = suite[: args.limit]
-    config = _config_from(args, "lru")
-    store = ResultStore(args.resume, recover=True) if args.resume else None
     fault_plan = None
     if args.inject_fault:
         from repro.experiments.faults import FaultPlan
@@ -431,38 +434,32 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan()
         for policy, workload, spec in args.inject_fault:
             fault_plan.add(policy, workload, spec)
-    supervisor = SupervisorConfig(
-        workers=args.workers,
-        cell_timeout_seconds=args.cell_timeout,
-        retry=RetryPolicy(
-            max_retries=args.retries,
-            backoff_base_seconds=args.backoff_base,
-        ),
-        checkpoint_every=args.checkpoint_every,
-        start_method=args.start_method,
-    )
     obs = _obs_from(args)
     progress = GridProgressReporter(total_cells=len(suite) * len(args.policies))
-    scheduler = None
-    if args.cache_dir:
-        from repro.experiments.scheduler import (
-            SchedulerConfig,
-            SweepScheduler,
-            parse_shard,
-        )
-
-        if store is not None:
-            print("note: --cache-dir supersedes --resume; the content-"
-                  "addressed cache is itself the resume mechanism")
-            store = None
+    # Without --cache-dir the run still goes through the scheduler, on a
+    # throwaway cache removed on exit; warm-up snapshots are skipped
+    # there since no later run could reuse them.
+    cache_dir = (
+        contextlib.nullcontext(args.cache_dir) if args.cache_dir
+        else tempfile.TemporaryDirectory(prefix="repro-grid-")
+    )
+    with cache_dir as cache_root:
         scheduler = SweepScheduler(
-            args.cache_dir,
-            config,
+            cache_root,
+            _config_from(args, "lru"),
             scheduler=SchedulerConfig(
                 shard=parse_shard(args.shard) if args.shard else None,
-                snapshots=not args.no_snapshots,
+                snapshots=bool(args.cache_dir) and not args.no_snapshots,
             ),
-            supervisor=supervisor,
+            retry=RetryPolicy(
+                max_retries=args.retries,
+                backoff_base_seconds=args.backoff_base,
+            ),
+            supervisor=SupervisorConfig(
+                workers=args.workers,
+                cell_timeout_seconds=args.cell_timeout,
+                start_method=args.start_method,
+            ),
             fault_plan=fault_plan,
             obs=obs,
             engine=args.engine,
@@ -470,20 +467,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             telemetry=_telemetry_config_from(args),
         )
         grid = scheduler.run(suite, list(args.policies), progress=progress)
-    else:
-        grid = run_grid_supervised(
-            suite,
-            list(args.policies),
-            config,
-            supervisor=supervisor,
-            store=store,
-            fault_plan=fault_plan,
-            progress=progress,
-            obs=obs,
-            engine=args.engine,
-            verify=args.verify,
-            telemetry=_telemetry_config_from(args),
-        )
     # Shutdown path: durable artifacts first, console output last.  The
     # report (which embeds the merged --telemetry series) and the
     # metrics summary are the machine-read evidence of the run; writing
@@ -503,7 +486,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     ).render())
     if args.report:
         print(f"wrote report to {args.report}")
-    if scheduler is not None:
+    if args.cache_dir:
         stats = scheduler.stats
         print(
             f"cache {args.cache_dir}: {stats.cache_hits} hit(s), "
@@ -522,17 +505,16 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             print(f"shard {index}/{count}: {stats.other_shard} cell(s) owned "
                   f"by other shards; re-run unsharded to assemble the full "
                   f"grid from cache")
-    if store is not None:
-        print(f"{len(store)} cells checkpointed in {args.resume}")
     if grid.failed:
         print(f"\nWARNING: partial grid — {len(grid.failed)} cell(s) failed:")
         for failure in grid.failed:
             print(f"  {failure.summary_line()}")
-        if scheduler is not None:
+        if args.cache_dir:
             print(f"re-run with --cache-dir {args.cache_dir} to retry only "
                   f"these cells (completed cells are served from cache)")
-        elif args.resume:
-            print(f"re-run with --resume {args.resume} to retry only these cells")
+        else:
+            print("re-run with --cache-dir DIR to keep completed cells, so "
+                  "a later run retries only the failed ones")
         return 2
     return 0
 
@@ -995,8 +977,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--trace-scale", type=float, default=1.0)
     report.add_argument("--policies", nargs="+", default=list(figures.PAPER_POLICIES),
                         choices=available_policies())
-    report.add_argument("--store", default="results-store.json",
-                        help="JSON result cache (resumable)")
+    report.add_argument("--cache-dir", metavar="DIR", default="results-cache",
+                        help="content-addressed result cache; cells already "
+                             "in DIR are not simulated again (default: "
+                             "results-cache)")
     report.add_argument("--output", default="report.md")
     report.add_argument("--telemetry", action="store_true",
                         help="sample interval telemetry on freshly simulated "
@@ -1007,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     grid = add_subcommand(
-        "grid", "run a suite grid under the fault-tolerant supervised executor"
+        "grid", "run a suite grid in fault-isolated worker processes"
     )
     grid.add_argument("--seed", type=int, default=2018)
     grid.add_argument("--trace-scale", type=float, default=1.0)
@@ -1023,17 +1007,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="retry each failed cell up to K times (default: 2)")
     grid.add_argument("--backoff-base", type=float, default=0.5, metavar="S",
                       help="first-retry backoff in seconds, doubling per attempt")
-    grid.add_argument("--resume", metavar="STORE", default=None,
-                      help="checkpoint results to this store and skip cells "
-                           "already in it; corrupted stores are quarantined "
-                           "to STORE.corrupt")
     grid.add_argument("--cache-dir", metavar="DIR", default=None,
-                      help="content-addressed result cache: cells already "
-                           "computed (by any run sharing DIR) are served "
-                           "without simulation, results are journaled and "
-                           "written durably as the grid runs, and a killed "
-                           "run resumes from where it stopped by re-running "
-                           "the same command")
+                      help="content-addressed result cache, and the way to "
+                           "resume: cells already computed (by any run "
+                           "sharing DIR) are served without simulation, "
+                           "results are journaled and written durably as "
+                           "the grid runs, and a killed or partial run "
+                           "resumes from where it stopped by re-running the "
+                           "same command (default: a temporary cache "
+                           "removed on exit)")
     grid.add_argument("--shard", metavar="K/N", default=None,
                       help="own only the cells whose content digest maps to "
                            "shard K of N (requires --cache-dir); run one "
@@ -1043,8 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="disable warm-up memoization (with --cache-dir, "
                            "cells sharing a warm-up prefix normally replay "
                            "only their measurement windows)")
-    grid.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                      help="save the store after every N completed cells")
     grid.add_argument("--report", default=None,
                       help="also write a markdown report to this path")
     grid.add_argument("--start-method", default="spawn",

@@ -3,12 +3,17 @@
 Runs the policy x workload grids behind every table and figure in the
 paper's evaluation and renders them as terminal-friendly reports:
 
-- :mod:`repro.experiments.runner`: grid execution with the paper's
-  warm-up rule and per-cell result capture;
-- :mod:`repro.experiments.supervisor`: the fault-tolerant parallel grid
-  executor (worker pool, timeouts, retries, checkpoint-resume);
+- :mod:`repro.experiments.runner`: the in-memory serial grid loop
+  (``run_grid``) with the paper's warm-up rule and per-cell result
+  capture;
+- :mod:`repro.experiments.scheduler`: the one cached, resumable,
+  parallel sweep path (``SweepScheduler`` over the content-addressed
+  :mod:`~repro.experiments.cellcache` and write-ahead
+  :mod:`~repro.experiments.journal`; ``--cache-dir`` on the CLI);
+- :mod:`repro.experiments.supervisor`: the scheduler's process executor
+  (worker pool, timeouts, retries);
 - :mod:`repro.experiments.faults`: deterministic fault injection for
-  exercising the supervisor's recovery paths;
+  exercising the scheduler's and supervisor's recovery paths;
 - :mod:`repro.experiments.figures`: one generator per paper artifact
   (fig1..fig11, table1, the headline numbers);
 - :mod:`repro.experiments.report`: shared text-rendering helpers.
@@ -24,12 +29,7 @@ from repro.experiments.runner import (
     run_workload,
     validate_cell,
 )
-from repro.experiments.store import ResultStore, ResultStoreError, run_grid_cached
-from repro.experiments.supervisor import (
-    RetryPolicy,
-    SupervisorConfig,
-    run_grid_supervised,
-)
+from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 from repro.experiments.tuning import TuningResult, sweep_ghrp
 from repro.experiments import figures
 
@@ -41,12 +41,8 @@ __all__ = [
     "run_grid",
     "run_workload",
     "validate_cell",
-    "ResultStore",
-    "ResultStoreError",
-    "run_grid_cached",
     "RetryPolicy",
     "SupervisorConfig",
-    "run_grid_supervised",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",

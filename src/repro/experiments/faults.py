@@ -1,11 +1,13 @@
-"""Deterministic fault injection for the supervised grid executor.
+"""Deterministic fault injection for the sweep scheduler's executors.
 
 Testing a fault-tolerant executor with real faults (random crashes,
 actual wall-clock hangs racing a timeout) produces flaky tests.  This
 module instead injects *chosen* faults into *chosen* cells on *chosen*
 attempts: a :class:`FaultPlan` maps (policy, workload) keys to a
-:class:`FaultSpec`, is pickled into the worker processes alongside each
-task, and fires deterministically — the Nth attempt of a given cell
+:class:`FaultSpec`, is consulted before and after every cell attempt —
+by the scheduler's inline executor in-process, and pickled into the
+supervisor's worker processes alongside each task — and fires
+deterministically — the Nth attempt of a given cell
 always behaves the same way.
 
 Modes:
@@ -24,8 +26,10 @@ Modes:
 attempt index < N faults); ``ALWAYS`` faults every attempt, producing a
 terminal :class:`~repro.experiments.runner.FailedCell`.
 
-The plan is inert outside the supervisor: serial ``run_grid`` never
-consults it, and an empty plan injects nothing.
+Only :class:`~repro.experiments.scheduler.SweepScheduler` consults a
+plan (serial ``run_grid`` never does), and an empty plan injects
+nothing.  ``"hang"`` and ``"crash"`` are meant for the supervised
+executor: inline, they would block or exit the scheduler's own process.
 
 :class:`ServiceFaultPlan` extends the same discipline one layer up, to
 the job daemon (:mod:`repro.service`): dropped lease heartbeats,

@@ -145,7 +145,7 @@ def _failed_cells_section(grid: GridResult) -> str:
     note = (
         "The cells below exhausted their retries and are **missing** from "
         "every table above; means and win/loss counts cover the surviving "
-        "grid only. Re-run with `repro-sim grid --resume <store>` to "
+        "grid only. Re-run with `repro-sim grid --cache-dir <dir>` to "
         "recompute just these cells."
     )
     return "### Failed cells\n\n" + note + "\n\n" + _markdown_table(

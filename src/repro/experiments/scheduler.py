@@ -1,7 +1,9 @@
 """Crash-safe sharded sweep scheduler over a content-addressed cache.
 
-This module lifts the supervised grid executor into a scheduler whose
-unit of work is a **content-addressed cell**: every (workload, policy,
+This is the one cached, resumable, parallel and fault-tolerant sweep
+path (plain in-memory sweeps use the serial
+:func:`~repro.experiments.runner.run_grid`).  Its unit of work is a
+**content-addressed cell**: every (workload, policy,
 config) slot is keyed by its canonical sha256 digest
 (:func:`~repro.experiments.content.cell_digest`), and all robustness
 properties follow from that identity:
@@ -28,10 +30,11 @@ properties follow from that identity:
   their measurement windows (:mod:`repro.experiments.snapshots`).
 
 Execution is either *inline* (this process, serial — the facade and
-test path) or *supervised* (pass a
+job-service path) or *supervised* (pass a
 :class:`~repro.experiments.supervisor.SupervisorConfig` to run cells in
 the fault-isolated worker pool with timeouts and crash recovery — the
-CLI path).  Both share planning, caching, journaling, and leasing.
+``repro-sim grid`` path).  Both share planning, caching, journaling,
+leasing, and the one ``retry`` budget.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ __all__ = [
     "SweepScheduler",
     "SweepStats",
     "parse_shard",
-    "run_sweep_scheduled",
     "grid_signature",
 ]
 
@@ -208,9 +210,7 @@ class SweepScheduler:
         self.config = config or FrontEndConfig()
         self.sched = scheduler or SchedulerConfig()
         self.supervisor = supervisor
-        self.retry = retry or (
-            supervisor.retry if supervisor is not None else RetryPolicy()
-        )
+        self.retry = retry or RetryPolicy()
         self.fault_plan = fault_plan
         self.obs = obs
         self.engine = engine
@@ -501,7 +501,7 @@ class SweepScheduler:
             self._maybe_heartbeat()
 
         executor = _Supervisor(
-            self.config, self.supervisor, None, self.fault_plan, progress,
+            self.config, self.supervisor, self.retry, self.fault_plan, progress,
             self.obs, self.monotonic, self.sleep,
             engine=self.engine, verify=self.verify, telemetry=self.telemetry,
             sink=sink, tick=tick, on_attempt_failed=on_attempt_failed,
@@ -525,34 +525,3 @@ class SweepScheduler:
             executor.run(tasks)
         results.update(executor.results)
         failures.update(executor.failures)
-
-
-def run_sweep_scheduled(
-    workloads: Workload | Sequence[Workload],
-    policies: Sequence[str],
-    config: FrontEndConfig | None = None,
-    *,
-    cache: CellCache | str | Path,
-    scheduler: SchedulerConfig | None = None,
-    supervisor: SupervisorConfig | None = None,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    progress: Callable[[CellResult], None] | None = None,
-    obs: Observability = NULL_OBS,
-    engine: str = "reference",
-    verify: str = "off",
-    telemetry=None,
-) -> GridResult:
-    """One-shot convenience over :class:`SweepScheduler`.
-
-    Returns the grid; the scheduler (with its :class:`SweepStats`) is
-    discarded — construct :class:`SweepScheduler` directly when the
-    run's statistics matter (the CLI does).
-    """
-    runner = SweepScheduler(
-        cache, config,
-        scheduler=scheduler, retry=retry, supervisor=supervisor,
-        fault_plan=fault_plan, obs=obs, engine=engine, verify=verify,
-        telemetry=telemetry,
-    )
-    return runner.run(workloads, policies, progress=progress)

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.kernel.ghrp import history_chain
-from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.util.bits import mask
 
-if HAVE_NUMPY:
-    import numpy as _np
+import numpy as _np
 
 __all__ = ["HashedPerceptronKernel"]
 
@@ -228,8 +226,6 @@ class HashedPerceptronKernel:
         chain-precomputed (history registers wider than uint64), in which
         case the engine must stay on the scalar loop.
         """
-        if not HAVE_NUMPY:
-            return None
         predictor = self.predictor
         if predictor.history_bits > 64 or predictor.path_bits > 64:
             return None

@@ -43,7 +43,7 @@ from repro.frontend.results import SimulationResult
 from repro.kernel.base import BTBKernel, KernelContext, WindowPlan, batch_kernel_for
 from repro.kernel.direction import HashedPerceptronKernel
 from repro.kernel.ghrp import GHRPBTBKernel, GHRPCacheKernel, ghrp_batch_ready
-from repro.kernel.tokenizer import HAVE_NUMPY, TraceTokens, tokenize_trace
+from repro.kernel.tokenizer import TraceTokens, tokenize_trace
 from repro.policies.ghrp_policy import GHRPBTBPolicy
 from repro.traces.record import BranchRecord, BranchType
 from repro.traces.reconstruct import _MAX_SEQUENTIAL_GAP
@@ -206,8 +206,6 @@ class FastFrontEnd(FrontEnd):
         a standalone BTB sharing its predictor with the I-cache would
         interleave history updates no per-structure chunking preserves.
         """
-        if not HAVE_NUMPY:
-            return False
         if self.wrong_path_depth > 0:
             return False
         if self.indirect is not None:

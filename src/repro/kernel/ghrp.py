@@ -36,13 +36,11 @@ from repro.kernel.base import (
     WindowPlan,
     batch_kernel,
 )
-from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.util.bits import mask
 from repro.util.hashing import SkewedIndexTable, skewed_index_columns
 
-if HAVE_NUMPY:
-    import numpy as _np
+import numpy as _np
 
 __all__ = ["GHRPKernelState", "GHRPCacheKernel", "GHRPBTBKernel", "ghrp_batch_ready"]
 
@@ -87,8 +85,7 @@ def ghrp_batch_ready(state: "GHRPKernelState") -> bool:
     Anything else falls back to the generic scalar-loop executor.
     """
     return (
-        HAVE_NUMPY
-        and state.majority
+        state.majority
         and state.num_tables == 3
         and state.history_mask.bit_length() <= 64
         and state.spec == state.retired

@@ -19,13 +19,11 @@ from repro.kernel.base import (
     WindowPlan,
     batch_kernel,
 )
-from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.policies.sdbp import SDBPPolicy
 from repro.util.bits import mask
 from repro.util.hashing import SkewedIndexTable
 
-if HAVE_NUMPY:
-    import numpy as _np
+import numpy as _np
 
 __all__ = ["SDBPKernel"]
 

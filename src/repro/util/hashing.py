@@ -101,7 +101,7 @@ class SkewedIndexTable:
     Misses compute the same pipeline as :func:`skewed_indices` with the
     mixer and XOR fold inlined (bit-identical, roughly an order of
     magnitude cheaper); :meth:`precompute` fills the whole signature space
-    at once, vectorized when numpy is importable.
+    at once, vectorized with numpy.
     """
 
     __slots__ = ("num_tables", "index_bits", "_cache")
@@ -154,7 +154,7 @@ class SkewedIndexTable:
         signature, with no hashing left on the hot path.  The full-space
         table is a pure function of ``(num_tables, index_bits,
         signature_bits)``, so it is computed once per process (vectorized
-        when numpy is importable) and copied into this instance's memo —
+        with numpy) and copied into this instance's memo —
         rebuilding a front end costs one C-level ``dict.update``, not a
         re-hash of the signature space.
         """
@@ -186,15 +186,9 @@ def _full_space_table(
     table = _FULL_TABLE_MEMO.get(key)
     if table is not None:
         return table
+    import numpy as np
+
     total = 1 << signature_bits
-    try:
-        import numpy as np
-    except ImportError:
-        scalar = SkewedIndexTable(num_tables, index_bits)
-        for signature in range(total):
-            scalar.indices(signature)
-        _FULL_TABLE_MEMO[key] = scalar._cache
-        return scalar._cache
     index_mask = np.uint64((1 << index_bits) - 1)
     shift = np.uint64(index_bits)
     signatures = np.arange(total, dtype=np.uint64)
@@ -218,10 +212,9 @@ def _full_space_table(
 def skewed_index_columns(num_tables: int, index_bits: int, signature_bits: int):
     """Full-space signature → per-table index *columns*, memoized.
 
-    Returns ``(columns, columns_np)``: one Python list and (when numpy is
-    importable, else ``None``) one contiguous int64 array per table, each
-    indexed directly by signature.  Bit-identical to
-    :func:`skewed_indices` by construction; the batched kernels index the
+    Returns ``(columns, columns_np)``: one Python list and one contiguous
+    int64 array per table, each indexed directly by signature.
+    Bit-identical to :func:`skewed_indices` by construction; the batched kernels index the
     lists on the scalar hot path and use the arrays for vectorized
     signature lowering.
     """
@@ -229,20 +222,16 @@ def skewed_index_columns(num_tables: int, index_bits: int, signature_bits: int):
     cached = _COLUMN_MEMO.get(key)
     if cached is not None:
         return cached
+    import numpy as np
+
     lookup = _full_space_table(num_tables, index_bits, signature_bits)
     total = 1 << signature_bits
     rows = [lookup[signature] for signature in range(total)]
-    try:
-        import numpy as np
-    except ImportError:
-        columns_np = None
-        columns = tuple(list(column) for column in zip(*rows, strict=True))
-    else:
-        matrix = np.asarray(rows, dtype=np.int64)
-        columns_np = tuple(
-            np.ascontiguousarray(matrix[:, t]) for t in range(num_tables)
-        )
-        columns = tuple(column.tolist() for column in columns_np)
+    matrix = np.asarray(rows, dtype=np.int64)
+    columns_np = tuple(
+        np.ascontiguousarray(matrix[:, t]) for t in range(num_tables)
+    )
+    columns = tuple(column.tolist() for column in columns_np)
     cached = (columns, columns_np)
     _COLUMN_MEMO[key] = cached
     return cached

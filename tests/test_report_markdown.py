@@ -78,19 +78,19 @@ class TestReportCommand:
 
         monkeypatch.setattr(cli, "make_suite", tiny_suite)
         output = tmp_path / "report.md"
-        store = tmp_path / "store.json"
+        cache = tmp_path / "cache"
         code = cli.main([
             "report", "--policies", "lru", "ghrp",
-            "--output", str(output), "--store", str(store),
+            "--output", str(output), "--cache-dir", str(cache),
             "--icache-kb", "8", "--icache-assoc", "4", "--btb-entries", "256",
         ])
         assert code == 0
         assert output.exists()
         assert "GHRP reproduction report" in output.read_text()
-        # Second run hits the cache (store has 2 cells either way).
+        # Second run hits the cache (it holds 2 cells either way).
         code = cli.main([
             "report", "--policies", "lru", "ghrp",
-            "--output", str(output), "--store", str(store),
+            "--output", str(output), "--cache-dir", str(cache),
             "--icache-kb", "8", "--icache-assoc", "4", "--btb-entries", "256",
         ])
         assert code == 0

@@ -11,7 +11,9 @@ completed cells recomputed (asserted through the journal, which records
 every ``computed`` transition exactly once per digest).
 """
 
+import dataclasses
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -21,9 +23,16 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import SimulationSession, SweepOptions
-from repro.experiments.cellcache import CellCache, SnapshotStore
+from repro.experiments.cellcache import (
+    CellCache,
+    SnapshotStore,
+    atomic_write_json,
+    rehydrate_cell,
+)
 from repro.experiments.content import (
     cell_digest,
     grid_signature,
@@ -32,7 +41,7 @@ from repro.experiments.content import (
 )
 from repro.experiments.faults import ALWAYS, FaultPlan, FaultSpec
 from repro.experiments.journal import CellJournal, LeaseManager
-from repro.experiments.runner import run_cell, run_grid
+from repro.experiments.runner import CellResult, run_cell, run_grid
 from repro.experiments.scheduler import (
     SchedulerConfig,
     SweepScheduler,
@@ -41,6 +50,7 @@ from repro.experiments.scheduler import (
 from repro.experiments.snapshots import run_cell_snapshotted
 from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 from repro.frontend.config import FrontEndConfig
+from repro.sentinel.digest import canonical_fingerprint
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
 
@@ -109,6 +119,25 @@ class TestContentDigests:
         )
         assert cell_digest(reseeded, "lru", config) != base
 
+    def test_digest_sensitive_to_policy(self, workloads, config):
+        assert cell_digest(workloads[0], "lru", config) != cell_digest(
+            workloads[0], "ghrp", config
+        )
+
+    def test_digest_sensitive_to_config(self, workloads, config):
+        other = config.with_overrides(icache_bytes=16 * 1024)
+        assert cell_digest(workloads[0], "lru", config) != cell_digest(
+            workloads[0], "lru", other
+        )
+
+    def test_digest_sensitive_to_workload_seed(self, workloads, config):
+        reseeded = make_workload(
+            "w0", Category.SHORT_MOBILE, seed=2, **WORKLOAD_KWARGS
+        )
+        assert cell_digest(workloads[0], "lru", config) != cell_digest(
+            reseeded, "lru", config
+        )
+
     def test_warmup_digest_is_engine_specific(self, workloads, config):
         # Cell results are interchangeable across engines (bit-identical
         # by contract, so cell_digest takes no engine) — but a snapshot
@@ -146,6 +175,20 @@ class TestContentDigests:
 # ---------------------------------------------------------------------------
 # Cell cache
 # ---------------------------------------------------------------------------
+def sample_cell(**overrides) -> CellResult:
+    fields = dict(
+        policy="lru", workload="w", icache_mpki=9.5, btb_mpki=6.0,
+        icache_misses=193, btb_misses=128, instructions=22165, branches=2060,
+        direction_accuracy=0.85, dead_evictions=3, bypasses=1,
+        elapsed_seconds=0.07, setup_seconds=0.01, simulate_seconds=0.06,
+    )
+    fields.update(overrides)
+    return CellResult(**fields)
+
+
+DIGEST = "ab" * 32
+
+
 class TestCellCache:
     def test_put_get_round_trip(self, tmp_path, workloads, config):
         cache = CellCache(tmp_path / "cache")
@@ -156,6 +199,18 @@ class TestCellCache:
         assert cache.get(digest) == cell
         assert cache.digests() == [digest]
         assert len(cache) == 1
+
+    def test_miss_returns_none(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        assert cache.get(DIGEST) is None
+        assert not cache.contains(DIGEST)
+
+    def test_round_trip_survives_reopen(self, tmp_path, workloads, config):
+        cell = run_cell(workloads[0], "lru", config)
+        digest = cell_digest(workloads[0], "lru", config)
+        CellCache(tmp_path / "cache").put(digest, cell)
+        reopened = CellCache(tmp_path / "cache")
+        assert reopened.get(digest) == cell
 
     def test_put_is_idempotent(self, tmp_path, workloads, config):
         cache = CellCache(tmp_path / "cache")
@@ -168,7 +223,13 @@ class TestCellCache:
     def test_put_refuses_garbage(self, tmp_path):
         cache = CellCache(tmp_path / "cache")
         with pytest.raises(ValueError, match="refusing to cache"):
-            cache.put("ab" * 32, {"not": "a cell"})
+            cache.put(DIGEST, {"not": "a cell"})
+
+    def test_put_refuses_malformed_cells(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="refusing to cache"):
+            cache.put(DIGEST, sample_cell(icache_mpki=float("nan")))
+        assert len(cache) == 0
 
     def test_corrupt_entry_is_quarantined_miss(self, tmp_path, workloads, config):
         cache = CellCache(tmp_path / "cache")
@@ -176,10 +237,183 @@ class TestCellCache:
         digest = cell_digest(workloads[0], "lru", config)
         cache.put(digest, cell)
         path = cache._cell_path(digest)
-        path.write_text(path.read_text()[:40], encoding="utf-8")  # torn write
+        torn = path.read_text()[:40]
+        path.write_text(torn, encoding="utf-8")  # torn write
         assert cache.get(digest) is None
+        backup = path.with_name(path.name + ".corrupt")
+        assert backup.read_text(encoding="utf-8") == torn  # evidence kept
+        assert not path.exists()  # the miss is permanent
+
+    def test_corrupt_entry_is_backed_up_not_lost(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        path = cache._cell_path(DIGEST)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("not json at all", encoding="utf-8")
+        assert cache.get(DIGEST) is None
+        backup = path.with_name(path.name + ".corrupt")
+        assert backup.read_text(encoding="utf-8") == "not json at all"
+
+    def test_quarantined_entry_leaves_cache_empty(self, tmp_path, caplog):
+        cache = CellCache(tmp_path / "cache")
+        cache.put(DIGEST, sample_cell())
+        path = cache._cell_path(DIGEST)
+        path.write_text("{broken", encoding="utf-8")
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.experiments.cellcache"):
+            assert cache.get(DIGEST) is None
+        assert len(cache) == 0
+        assert cache.digests() == []
+        assert not path.exists()  # moved aside, not deleted
         assert path.with_name(path.name + ".corrupt").exists()
-        assert not path.exists()  # the miss is permanent, evidence kept
+        assert "quarantined" in caplog.text
+
+    def test_truncated_entry_warning_names_path_and_backup(
+        self, tmp_path, caplog
+    ):
+        cache = CellCache(tmp_path / "cache")
+        path = cache._cell_path(DIGEST)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"payload": {"cell": {"policy": "l', encoding="utf-8")
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.experiments.cellcache"):
+            assert cache.get(DIGEST) is None
+        message = caplog.records[-1].getMessage()
+        assert str(path) in message                      # names the path
+        assert "invalid JSON" in message                 # names the cause
+        assert str(path) + ".corrupt" in message         # names the backup
+
+    def test_repeated_quarantine_never_overwrites_earlier_backups(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        path = cache._cell_path(DIGEST)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        for i in range(3):
+            path.write_text(f"broken #{i}", encoding="utf-8")
+            assert cache.get(DIGEST) is None
+        assert (path.parent / f"{DIGEST}.json.corrupt").read_text() == "broken #0"
+        assert (path.parent / f"{DIGEST}.json.corrupt.1").read_text() == "broken #1"
+        assert (path.parent / f"{DIGEST}.json.corrupt.2").read_text() == "broken #2"
+
+    def test_checksum_mismatch_detected(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        cache.put(DIGEST, sample_cell())
+        path = cache._cell_path(DIGEST)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["payload"]["cell"]["icache_mpki"] = 0.0  # hand edit
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert cache.get(DIGEST) is None
+        assert path.with_name(path.name + ".corrupt").exists()
+
+    def test_non_object_top_level_rejected(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        path = cache._cell_path(DIGEST)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("[1, 2, 3]", encoding="utf-8")
+        assert cache.get(DIGEST) is None
+        assert path.with_name(path.name + ".corrupt").exists()
+
+    def test_put_fsyncs_data_and_directory(self, tmp_path, monkeypatch):
+        """A put must push both the data and the rename to stable
+        storage: fsync the tmp file before the replace (so the bytes
+        exist), then the containing directory (so the entry does)."""
+        import stat
+
+        synced_files = []
+        synced_dirs = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                synced_dirs.append(fd)
+            else:
+                synced_files.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.experiments.cellcache.os.fsync", recording_fsync)
+        CellCache(tmp_path / "cache").put(DIGEST, sample_cell())
+        assert synced_files, "put() never fsynced the data file"
+        # Directory fsync is best-effort, but on POSIX it must happen.
+        assert synced_dirs, "put() never fsynced the containing directory"
+
+    def test_put_replaces_atomically_leaving_no_scratch_file(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        cache.put(DIGEST, sample_cell())
+        path = cache._cell_path(DIGEST)
+        assert list(path.parent.glob("*.tmp.*")) == []
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert document["checksum"] == canonical_fingerprint(document["payload"])
+
+    def test_crash_mid_write_leaves_previous_entry_intact(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "entry.json"
+        atomic_write_json(path, {"cell": "old"})
+        before = path.read_bytes()
+
+        def exploding_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.experiments.cellcache.os.fsync", exploding_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_json(path, {"cell": "new"})
+        assert path.read_bytes() == before  # readers never see a torn file
+        assert list(tmp_path.glob("*.tmp.*")) == []  # scratch cleaned up
+
+    # Schema drift: records written by other versions load as a partial
+    # cache through rehydrate_cell.
+    def test_unknown_keys_from_newer_versions_are_ignored(self):
+        record = dataclasses.asdict(sample_cell())
+        record["future_field"] = 42
+        assert rehydrate_cell(record) == sample_cell()
+
+    def test_missing_optional_fields_take_defaults(self):
+        record = dataclasses.asdict(sample_cell())
+        del record["setup_seconds"], record["simulate_seconds"]
+        cell = rehydrate_cell(record)
+        assert cell is not None
+        assert cell.setup_seconds == 0.0 and cell.simulate_seconds == 0.0
+
+    def test_missing_required_field_is_a_cache_miss_not_an_error(self, tmp_path):
+        record = dataclasses.asdict(sample_cell())
+        del record["icache_mpki"]
+        assert rehydrate_cell(record) is None
+        # Through the cache too: a checksum-valid entry with the old
+        # schema is a miss, not an exception.
+        atomic_write_json(
+            CellCache(tmp_path / "cache")._cell_path(DIGEST),
+            {"cell": record, "meta": {}},
+        )
+        assert CellCache(tmp_path / "cache").get(DIGEST) is None
+
+    def test_malformed_record_value_is_a_cache_miss(self):
+        record = dataclasses.asdict(sample_cell())
+        record["instructions"] = "many"
+        assert rehydrate_cell(record) is None
+        assert rehydrate_cell(["not", "a", "record"]) is None
+
+    @given(
+        mpki=st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False),
+        misses=st.integers(0, 10**9),
+        accuracy=st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+        shuffle_seed=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_put_get_round_trips_across_field_reordering(
+        self, tmp_path_factory, mpki, misses, accuracy, shuffle_seed
+    ):
+        """Entries survive arbitrary on-disk key order (dict reordering
+        across json dumps, field reordering across versions)."""
+        cache = CellCache(tmp_path_factory.mktemp("cache"))
+        cell = sample_cell(
+            icache_mpki=mpki, icache_misses=misses, direction_accuracy=accuracy
+        )
+        cache.put(DIGEST, cell)
+        path = cache._cell_path(DIGEST)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        items = list(document["payload"]["cell"].items())
+        shuffle_seed.shuffle(items)
+        document["payload"]["cell"] = dict(items)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert cache.get(DIGEST) == cell
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +606,34 @@ class TestScheduler:
         assert warm.stats.cache_hits == 4
         assert warm.stats.hit_rate == 1.0
 
+    def test_extending_policies_adds_cells(self, tmp_path, workloads, config):
+        scheduler_for(tmp_path, config).run([workloads[0]], ["lru"])
+        extended = scheduler_for(tmp_path, config)
+        extended.run([workloads[0]], ["lru", "srrip"])
+        assert (extended.stats.cache_hits, extended.stats.computed) == (1, 1)
+        assert len(extended.cache) == 2
+
+    def test_second_run_is_cached(self, tmp_path, workloads, config):
+        scheduler = scheduler_for(tmp_path, config)
+        first = scheduler.run([workloads[0]], ["lru", "random"])
+        assert len(scheduler.cache) == 2
+        calls = []
+        second = scheduler.run(
+            [workloads[0]], ["lru", "random"], progress=calls.append
+        )
+        assert len(calls) == 2
+        assert scheduler.stats.computed == 2  # only the cold run simulated
+        assert scheduler.stats.cache_hits == 2
+        assert second.icache.values == first.icache.values
+
+    def test_cache_persisted_across_instances(
+        self, tmp_path, workloads, config
+    ):
+        scheduler_for(tmp_path, config).run([workloads[0]], ["lru"])
+        cache = CellCache(tmp_path / "cache")
+        assert len(cache) == 1
+        assert cache.get(cell_digest(workloads[0], "lru", config)) is not None
+
     def test_duplicate_slots_collapse_before_dispatch(
         self, tmp_path, workloads, config
     ):
@@ -422,9 +684,7 @@ class TestScheduler:
     ):
         scheduler = scheduler_for(
             tmp_path, config,
-            supervisor=SupervisorConfig(
-                workers=2, retry=FAST_RETRY, start_method=START_METHOD
-            ),
+            supervisor=SupervisorConfig(workers=2, start_method=START_METHOD),
         )
         grid = scheduler.run(workloads, ["lru", "ghrp"])
         assert grid_signature(grid) == grid_signature(baseline)

@@ -1,10 +1,14 @@
 """Additional statistics coverage: edge cases and cross-checks."""
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.ci import relative_difference_ci
+from repro.stats.ci import relative_difference_ci, student_t_ppf
 from repro.stats.mpki import MPKITable
 from repro.stats.scurve import scurve
 from repro.stats.winloss import classify_win_loss
@@ -18,6 +22,34 @@ def table_of(rows: dict[str, list[float]], workloads: list[str]) -> MPKITable:
     return table
 
 
+class TestStudentTQuantile:
+    def test_matches_pinned_reference_table(self):
+        """Every pinned t.ppf value for df 1..200 at the two-sided 90/95/99%
+        levels (p = 0.95/0.975/0.995) and p = 0.90/0.99, to 1e-12."""
+        table = json.loads(
+            (Path(__file__).parent / "data" / "student_t_ppf.json").read_text()
+        )
+        assert set(table["ppf"]) == {"0.9", "0.95", "0.975", "0.99", "0.995"}
+        for p, expected in table["ppf"].items():
+            assert len(expected) == 200
+            for df, value in enumerate(expected, start=1):
+                assert math.isclose(
+                    student_t_ppf(float(p), df), value, rel_tol=1e-12
+                ), (p, df)
+
+    def test_symmetry_and_median(self):
+        assert student_t_ppf(0.5, 3) == 0.0
+        assert student_t_ppf(0.025, 7) == -student_t_ppf(0.975, 7)
+
+    def test_large_df_approaches_the_normal_quantile(self):
+        assert student_t_ppf(0.975, 1e7) == pytest.approx(1.959963984540054, rel=1e-6)
+
+    @pytest.mark.parametrize("p,df", [(0.0, 3), (1.0, 3), (0.9, 0), (0.9, -1)])
+    def test_rejects_out_of_domain_arguments(self, p, df):
+        with pytest.raises(ValueError):
+            student_t_ppf(p, df)
+
+
 class TestCIAgainstScipy:
     @given(
         st.lists(
@@ -26,9 +58,11 @@ class TestCIAgainstScipy:
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_scipy_interval(self, reference_values):
-        """Our CI must equal scipy.stats.t.interval on the same samples."""
+        """Our CI must equal the reference library's t.interval on the
+        same samples (a live cross-check; skipped when SciPy is absent)."""
         import numpy as np
-        from scipy import stats as scipy_stats
+
+        reference = pytest.importorskip("scipy.stats")
 
         workloads = [f"w{i}" for i in range(len(reference_values))]
         policy_values = [v * 0.9 for v in reference_values]
@@ -41,9 +75,9 @@ class TestCIAgainstScipy:
         if np.std(diffs, ddof=1) == 0:
             assert result.ci_low == pytest.approx(result.ci_high)
             return
-        low, high = scipy_stats.t.interval(
+        low, high = reference.t.interval(
             0.95, df=len(diffs) - 1, loc=diffs.mean(),
-            scale=scipy_stats.sem(diffs),
+            scale=reference.sem(diffs),
         )
         assert result.ci_low == pytest.approx(low, rel=1e-9)
         assert result.ci_high == pytest.approx(high, rel=1e-9)

@@ -1,6 +1,9 @@
-"""The fault-tolerant supervised grid executor.
+"""The supervised process executor, driven through the sweep scheduler.
 
-Every recovery path is exercised through the deterministic fault
+Every sweep that needs worker isolation runs as
+``SweepScheduler(cache, config, supervisor=SupervisorConfig(...))``, so
+these tests exercise the supervisor exactly the way ``repro-sim grid``
+does.  Every recovery path is exercised through the deterministic fault
 harness (`repro.experiments.faults`) — no random failures, no flaky
 sleeps: retry backoff waits go through an injected fake timer, and the
 only real waiting anywhere is the sub-second per-cell timeout of the
@@ -14,6 +17,8 @@ import multiprocessing
 import pytest
 
 from repro.cli import main
+from repro.experiments.cellcache import CellCache
+from repro.experiments.content import grid_signature
 from repro.experiments.faults import ALWAYS, FaultPlan, FaultSpec
 from repro.experiments.report_markdown import markdown_report
 from repro.experiments.runner import (
@@ -23,12 +28,8 @@ from repro.experiments.runner import (
     run_grid,
     validate_cell,
 )
-from repro.experiments.store import ResultStore
-from repro.experiments.supervisor import (
-    RetryPolicy,
-    SupervisorConfig,
-    run_grid_supervised,
-)
+from repro.experiments.scheduler import SweepScheduler
+from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 from repro.frontend.config import FrontEndConfig
 from repro.obs import Observability
 from repro.workloads.spec import Category
@@ -48,9 +49,20 @@ FAST_RETRY = RetryPolicy(
 
 
 def supervisor_config(**overrides) -> SupervisorConfig:
-    settings = {"workers": 1, "retry": FAST_RETRY, "start_method": START_METHOD}
+    settings = {"workers": 1, "start_method": START_METHOD}
     settings.update(overrides)
     return SupervisorConfig(**settings)
+
+
+def supervised(tmp_path, config, *, timer=None, retry=FAST_RETRY,
+               supervisor=None, **kwargs) -> SweepScheduler:
+    """A scheduler over ``tmp_path/cache`` with the process executor."""
+    if timer is not None:
+        kwargs.update(monotonic=timer.clock, sleep=timer.sleep)
+    return SweepScheduler(
+        tmp_path / "cache", config, retry=retry,
+        supervisor=supervisor or supervisor_config(), **kwargs,
+    )
 
 
 class FakeTimer:
@@ -94,45 +106,41 @@ def simulated_fields(cell: CellResult) -> tuple:
 
 
 class TestDeterminism:
-    def test_single_worker_matches_serial_runner(self, workload, config):
+    def test_single_worker_matches_serial_runner(self, tmp_path, workload, config):
         serial = run_grid([workload], ["lru", "random"], config)
-        supervised = run_grid_supervised(
-            [workload], ["lru", "random"], config,
-            supervisor=supervisor_config(workers=1),
+        supervised_grid = supervised(tmp_path, config).run(
+            [workload], ["lru", "random"]
         )
-        assert supervised.complete
-        assert [simulated_fields(c) for c in supervised.cells] == [
+        assert supervised_grid.complete
+        assert [simulated_fields(c) for c in supervised_grid.cells] == [
             simulated_fields(c) for c in serial.cells
         ]
 
-    def test_parallel_results_arrive_in_request_order(self, config):
+    def test_parallel_results_arrive_in_request_order(self, tmp_path, config):
         workloads = [
             make_workload(f"w{i}", Category.SHORT_MOBILE, seed=i,
                           trace_scale=0.02, footprint_scale=0.3)
             for i in (1, 2)
         ]
-        grid = run_grid_supervised(
-            workloads, ["lru", "random"], config,
-            supervisor=supervisor_config(workers=2),
-        )
+        grid = supervised(
+            tmp_path, config, supervisor=supervisor_config(workers=2),
+        ).run(workloads, ["lru", "random"])
         assert [(c.workload, c.policy) for c in grid.cells] == [
             ("w1", "lru"), ("w1", "random"), ("w2", "lru"), ("w2", "random"),
         ]
 
 
 class TestRetries:
-    def test_flaky_cell_succeeds_after_retries(self, workload, config):
+    def test_flaky_cell_succeeds_after_retries(self, tmp_path, workload, config):
         plan = FaultPlan().add("lru", "w", FaultSpec("raise", fail_attempts=2))
         retry = RetryPolicy(max_retries=2, backoff_base_seconds=0.5,
                             backoff_factor=2.0, jitter_fraction=0.1, seed=7)
         timer = FakeTimer()
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(retry=retry),
-            fault_plan=plan, obs=obs,
-            clock=timer.clock, sleep=timer.sleep,
-        )
+        grid = supervised(
+            tmp_path, config, retry=retry, fault_plan=plan, obs=obs,
+            timer=timer,
+        ).run([workload], ["lru"])
         assert grid.complete and len(grid.cells) == 1
         assert obs.metrics.counter("supervisor.retries") == 2
         assert obs.metrics.counter("supervisor.cells_ok") == 1
@@ -153,17 +161,16 @@ class TestRetries:
             "p", "other", 0
         )
 
-    def test_always_failing_cell_degrades_to_failed_cell(self, workload, config):
+    def test_always_failing_cell_degrades_to_failed_cell(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("random", "w", FaultSpec("raise", ALWAYS))
-        timer = FakeTimer()
-        grid = run_grid_supervised(
-            [workload], ["lru", "random"], config,
-            supervisor=supervisor_config(
-                retry=RetryPolicy(max_retries=1, backoff_base_seconds=0.001,
-                                  jitter_fraction=0.0)
-            ),
-            fault_plan=plan, clock=timer.clock, sleep=timer.sleep,
-        )
+        grid = supervised(
+            tmp_path, config,
+            retry=RetryPolicy(max_retries=1, backoff_base_seconds=0.001,
+                              jitter_fraction=0.0),
+            fault_plan=plan, timer=FakeTimer(),
+        ).run([workload], ["lru", "random"])
         assert [c.policy for c in grid.cells] == ["lru"]
         assert not grid.complete
         (failure,) = grid.failed
@@ -174,15 +181,11 @@ class TestRetries:
         )
         assert "attempt" in failure.message
 
-    def test_partial_grid_report_annotates_the_gap(self, workload, config):
+    def test_partial_grid_report_annotates_the_gap(self, tmp_path, workload, config):
         plan = FaultPlan().add("random", "w", FaultSpec("raise", ALWAYS))
-        grid = run_grid_supervised(
-            [workload], ["lru", "random"], config,
-            supervisor=supervisor_config(
-                retry=RetryPolicy(max_retries=0)
-            ),
-            fault_plan=plan,
-        )
+        grid = supervised(
+            tmp_path, config, retry=RetryPolicy(max_retries=0), fault_plan=plan,
+        ).run([workload], ["lru", "random"])
         report = markdown_report(grid)
         assert "Partial result: 1 cell(s) failed" in report
         assert "### Failed cells" in report
@@ -192,66 +195,66 @@ class TestRetries:
 
 
 class TestIsolation:
-    def test_hang_is_killed_at_the_timeout(self, workload, config):
+    def test_hang_is_killed_at_the_timeout(self, tmp_path, workload, config):
         plan = FaultPlan().add("lru", "w", FaultSpec("hang", fail_attempts=1))
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(
-                cell_timeout_seconds=0.5,
-                retry=RetryPolicy(max_retries=1, backoff_base_seconds=0.001,
-                                  jitter_fraction=0.0),
-            ),
+        grid = supervised(
+            tmp_path, config,
+            supervisor=supervisor_config(cell_timeout_seconds=0.5),
+            retry=RetryPolicy(max_retries=1, backoff_base_seconds=0.001,
+                              jitter_fraction=0.0),
             fault_plan=plan, obs=obs,
-        )
+        ).run([workload], ["lru"])
         assert grid.complete and len(grid.cells) == 1
         assert obs.metrics.counter("supervisor.timeouts") == 1
         assert obs.metrics.counter("supervisor.retries") == 1
 
-    def test_hang_with_no_retries_becomes_timeout_failure(self, workload, config):
+    def test_hang_with_no_retries_becomes_timeout_failure(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("lru", "w", FaultSpec("hang", ALWAYS))
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(
-                cell_timeout_seconds=0.3, retry=RetryPolicy(max_retries=0),
-            ),
-            fault_plan=plan,
-        )
+        grid = supervised(
+            tmp_path, config,
+            supervisor=supervisor_config(cell_timeout_seconds=0.3),
+            retry=RetryPolicy(max_retries=0), fault_plan=plan,
+        ).run([workload], ["lru"])
         (failure,) = grid.failed
         assert failure.kind == "timeout"
         assert failure.error_type == "CellTimeout"
         assert "0.3" in failure.message
 
-    def test_worker_crash_is_isolated_and_pool_replenished(self, workload, config):
+    def test_worker_crash_is_isolated_and_pool_replenished(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("lru", "w", FaultSpec("crash", fail_attempts=1))
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru", "random"], config,
-            supervisor=supervisor_config(), fault_plan=plan, obs=obs,
+        grid = supervised(tmp_path, config, fault_plan=plan, obs=obs).run(
+            [workload], ["lru", "random"]
         )
         assert grid.complete and len(grid.cells) == 2
         assert obs.metrics.counter("supervisor.crashes") == 1
         # A replacement worker was started after the crash.
         assert obs.metrics.counter("supervisor.workers_started") >= 2
 
-    def test_garbage_result_is_rejected_and_retried(self, workload, config):
+    def test_garbage_result_is_rejected_and_retried(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("lru", "w", FaultSpec("garbage", fail_attempts=1))
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(), fault_plan=plan, obs=obs,
+        grid = supervised(tmp_path, config, fault_plan=plan, obs=obs).run(
+            [workload], ["lru"]
         )
         assert grid.complete
         assert obs.metrics.counter("supervisor.garbage_results") == 1
         assert validate_cell(grid.cells[0]) is None
 
-    def test_persistent_garbage_degrades_with_garbage_kind(self, workload, config):
+    def test_persistent_garbage_degrades_with_garbage_kind(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("lru", "w", FaultSpec("garbage", ALWAYS))
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(retry=RetryPolicy(max_retries=0)),
-            fault_plan=plan,
-        )
+        grid = supervised(
+            tmp_path, config, retry=RetryPolicy(max_retries=0), fault_plan=plan,
+        ).run([workload], ["lru"])
         (failure,) = grid.failed
         assert failure.kind == "garbage"
         assert failure.error_type == "GarbageResult"
@@ -261,75 +264,65 @@ class TestCheckpointResume:
     def test_resume_recomputes_only_unfinished_cells(
         self, tmp_path, workload, config
     ):
-        store_path = tmp_path / "grid.json"
         first_plan = FaultPlan().add("random", "w", FaultSpec("raise", ALWAYS))
-        timer = FakeTimer()
-        first = run_grid_supervised(
-            [workload], ["lru", "random"], config,
-            supervisor=supervisor_config(
-                retry=RetryPolicy(max_retries=0)
-            ),
-            store=ResultStore(store_path), fault_plan=first_plan,
-            clock=timer.clock, sleep=timer.sleep,
-        )
+        first = supervised(
+            tmp_path, config, retry=RetryPolicy(max_retries=0),
+            fault_plan=first_plan, timer=FakeTimer(),
+        ).run([workload], ["lru", "random"])
         assert not first.complete
-        assert len(ResultStore(store_path)) == 1  # lru checkpointed
+        assert len(CellCache(tmp_path / "cache")) == 1  # lru cached
 
         # Second run: fault the *completed* cell unconditionally.  It can
-        # only succeed if resume served it from the store without ever
+        # only succeed if resume served it from the cache without ever
         # dispatching it; the previously failed cell recomputes cleanly.
         second_plan = FaultPlan().add("lru", "w", FaultSpec("raise", ALWAYS))
         obs = Observability()
-        second = run_grid_supervised(
-            [workload], ["lru", "random"], config,
-            supervisor=supervisor_config(),
-            store=ResultStore(store_path), fault_plan=second_plan, obs=obs,
-        )
+        timer = FakeTimer()
+        second = supervised(
+            tmp_path, config, fault_plan=second_plan, obs=obs, timer=timer,
+        ).run([workload], ["lru", "random"])
         assert second.complete and len(second.cells) == 2
-        assert obs.metrics.counter("supervisor.cells_cached") == 1
+        assert obs.metrics.counter("scheduler.cache_hits") == 1
         assert obs.metrics.counter("supervisor.cells_ok") == 1
-        assert len(ResultStore(store_path)) == 2
+        assert len(CellCache(tmp_path / "cache")) == 2
 
     def test_resumed_cells_match_fresh_simulation(self, tmp_path, workload, config):
-        store_path = tmp_path / "grid.json"
-        fresh = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(), store=ResultStore(store_path),
-        )
-        resumed = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(), store=ResultStore(store_path),
-        )
+        fresh = supervised(tmp_path, config).run([workload], ["lru"])
+        rerun = supervised(tmp_path, config)
+        resumed = rerun.run([workload], ["lru"])
+        assert rerun.stats.cache_hits == 1 and rerun.stats.computed == 0
         assert [simulated_fields(c) for c in resumed.cells] == [
             simulated_fields(c) for c in fresh.cells
         ]
 
 
 class TestObservability:
-    def test_worker_metrics_and_spans_merge_into_parent(self, workload, config):
+    def test_worker_metrics_and_spans_merge_into_parent(
+        self, tmp_path, workload, config
+    ):
         obs = Observability()
-        run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(), obs=obs,
+        timer = FakeTimer()
+        supervised(tmp_path, config, obs=obs, timer=timer).run(
+            [workload], ["lru"]
         )
         counters = obs.metrics.snapshot()["counters"]
-        assert any(not name.startswith("supervisor.") for name in counters), (
-            "expected worker-side simulation counters to merge into the parent"
-        )
+        assert any(
+            not name.startswith(("supervisor.", "scheduler."))
+            for name in counters
+        ), "expected worker-side simulation counters to merge into the parent"
         (root,) = obs.spans.tree()
-        assert root["name"] == "supervised_grid"
+        assert root["name"] == "scheduled_sweep"
         labels = [child["name"] for child in root["children"]]
         assert "worker:lru/w" in labels
 
 
 class TestAcceptanceScenario:
     """The issue's acceptance grid: one always-failing cell, one hang,
-    one fail-twice-then-succeed cell — plus checkpoint-resume."""
+    one fail-twice-then-succeed cell — plus resume from the cache."""
 
     def test_injected_fault_grid_completes_with_annotated_gaps(
         self, tmp_path, workload, config
     ):
-        store_path = tmp_path / "grid.json"
         plan = (
             FaultPlan()
             .add("lru", "w", FaultSpec("raise", fail_attempts=2))   # flaky
@@ -337,15 +330,13 @@ class TestAcceptanceScenario:
             .add("fifo", "w", FaultSpec("raise", ALWAYS))            # dead
         )
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru", "random", "fifo", "srrip"], config,
-            supervisor=supervisor_config(
-                workers=2, cell_timeout_seconds=0.5,
-                retry=RetryPolicy(max_retries=2, backoff_base_seconds=0.001,
-                                  jitter_fraction=0.0),
-            ),
-            store=ResultStore(store_path), fault_plan=plan, obs=obs,
-        )
+        grid = supervised(
+            tmp_path, config,
+            supervisor=supervisor_config(workers=2, cell_timeout_seconds=0.5),
+            retry=RetryPolicy(max_retries=2, backoff_base_seconds=0.001,
+                              jitter_fraction=0.0),
+            fault_plan=plan, obs=obs,
+        ).run([workload], ["lru", "random", "fifo", "srrip"])
         # Flaky + hanging cells recovered; the dead cell degraded.
         assert [(c.policy) for c in grid.cells] == ["lru", "random", "srrip"]
         (failure,) = grid.failed
@@ -357,13 +348,12 @@ class TestAcceptanceScenario:
 
         # Resume recomputes only the dead cell (fault it no longer has).
         obs2 = Observability()
-        resumed = run_grid_supervised(
-            [workload], ["lru", "random", "fifo", "srrip"], config,
-            supervisor=supervisor_config(),
-            store=ResultStore(store_path), obs=obs2,
+        timer = FakeTimer()
+        resumed = supervised(tmp_path, config, obs=obs2, timer=timer).run(
+            [workload], ["lru", "random", "fifo", "srrip"]
         )
         assert resumed.complete and len(resumed.cells) == 4
-        assert obs2.metrics.counter("supervisor.cells_cached") == 3
+        assert obs2.metrics.counter("scheduler.cache_hits") == 3
         assert obs2.metrics.counter("supervisor.cells_ok") == 1
 
 
@@ -402,18 +392,53 @@ class TestGridResultDuplicates:
 
 class TestGridCli:
     def test_grid_subcommand_runs_and_resumes(self, tmp_path, capsys):
-        store = tmp_path / "store.json"
+        cache = tmp_path / "cache"
         args = [
             "grid", "--limit", "1", "--trace-scale", "0.02", "--seed", "7",
             "--policies", "lru", "random", "--workers", "1", "--retries", "1",
             "--backoff-base", "0.001", "--icache-kb", "8",
             "--start-method", START_METHOD,
-            "--resume", str(store),
+            "--cache-dir", str(cache),
         ]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "2 cells checkpointed" in out
-        assert main(args) == 0  # resume: everything served from the store
+        assert "2 miss(es), 2 computed" in out
+        assert main(args) == 0  # resume: everything served from the cache
+        out = capsys.readouterr().out
+        assert "2 hit(s), 0 miss(es), 0 computed" in out
+
+    def test_grid_signature_is_the_same_with_and_without_cache_dir(
+        self, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        grids = []
+        real_run = SweepScheduler.run
+
+        def recording_run(self, *args, **kwargs):
+            grids.append(real_run(self, *args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(SweepScheduler, "run", recording_run)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        args = [
+            "grid", "--limit", "1", "--trace-scale", "0.02", "--seed", "7",
+            "--policies", "lru", "ghrp", "--workers", "2", "--icache-kb", "8",
+            "--start-method", START_METHOD,
+        ]
+        assert main(args) == 0
+        assert list(scratch.iterdir()) == []  # the throwaway cache is gone
+        assert main(args + ["--cache-dir", str(tmp_path / "cache")]) == 0
+        from repro.workloads.suite import make_suite
+
+        serial = run_grid(
+            make_suite(base_seed=7, trace_scale=0.02)[:1], ["lru", "ghrp"],
+            FrontEndConfig(icache_bytes=8 * 1024, icache_policy="lru",
+                           btb_policy="lru"),
+        )
+        assert [grid_signature(g) for g in grids] == [grid_signature(serial)] * 2
 
     def test_grid_subcommand_exits_2_on_partial_grid(self, tmp_path, capsys):
         code = main([

@@ -416,12 +416,12 @@ class TestTelemetryCli:
                      "--baseline", "prev"]) == 1
 
     def test_report_telemetry_sections(self, tmp_path, capsys):
-        store = tmp_path / "store.json"
+        cache = tmp_path / "cache"
         output = tmp_path / "report.md"
         code = main(
             ["report", "--policies", "lru", "ghrp",
              "--trace-scale", "0.01", "--icache-kb", "8",
-             "--store", str(store), "--output", str(output),
+             "--cache-dir", str(cache), "--output", str(output),
              "--telemetry", "--telemetry-interval", "300"]
         )
         assert code == 0
