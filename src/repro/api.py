@@ -72,9 +72,11 @@ __all__ = [
     "ServiceError",
 ]
 
-# The kernel package stays a lazy import (it is optional-numpy machinery
-# the facade's import path should not pay for), so its exports resolve on
-# first attribute access rather than at module import.
+# The kernel package stays a lazy import (only fast-engine callers need
+# its modules, and the facade's import path should not pay for loading
+# them), so its exports resolve on first attribute access rather than at
+# module import.  numpy itself is not the reason: the facade already
+# imports it through repro.cache.
 _KERNEL_EXPORTS = frozenset(
     {"BatchKernel", "TokenCache", "TraceTokens", "batch_kernel", "tokenize_trace"}
 )

@@ -718,17 +718,18 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.service import JobManager, ServiceConfig, ServiceDaemon
 
     config = ServiceConfig(
         workers=args.workers,
         max_queue_depth=args.max_queue,
-        default_max_retries=args.retries,
         default_deadline_seconds=args.deadline,
+        retry=replace(ServiceConfig().retry, max_retries=args.retries),
         lease_expiry_seconds=args.lease_expiry,
         heartbeat_interval_seconds=args.heartbeat_interval,
         retry_after_seconds=args.retry_after,
-        snapshots=not args.no_snapshots,
     )
     manager = JobManager(args.data_dir, config=config)
     daemon = ServiceDaemon(manager, host=args.host, port=args.port)
@@ -1177,8 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lease heartbeat pacing (default: 2)")
     serve.add_argument("--retry-after", type=float, default=2.0, metavar="S",
                        help="Retry-After advice on 429/503 (default: 2)")
-    serve.add_argument("--no-snapshots", action="store_true",
-                       help="disable warm-up memoization in job sweeps")
     serve.set_defaults(func=_cmd_serve)
 
     client = add_subcommand(

@@ -9,11 +9,13 @@ paper's evaluation and renders them as terminal-friendly reports:
 - :mod:`repro.experiments.scheduler`: the one cached, resumable,
   parallel sweep path (``SweepScheduler`` over the content-addressed
   :mod:`~repro.experiments.cellcache` and write-ahead
-  :mod:`~repro.experiments.journal`; ``--cache-dir`` on the CLI);
-- :mod:`repro.experiments.supervisor`: the scheduler's process executor
-  (worker pool, timeouts, retries);
+  :mod:`~repro.experiments.journal`, with the one attempt loop: lease
+  claim, validation, retries and failure; ``--cache-dir`` on the CLI);
+- :mod:`repro.experiments.supervisor`: where that loop's attempts run
+  (in process, or a worker pool with crash isolation and timeouts) and
+  the retry policy;
 - :mod:`repro.experiments.faults`: deterministic fault injection for
-  exercising the scheduler's and supervisor's recovery paths;
+  exercising the scheduler's recovery paths under either executor;
 - :mod:`repro.experiments.figures`: one generator per paper artifact
   (fig1..fig11, table1, the headline numbers);
 - :mod:`repro.experiments.report`: shared text-rendering helpers.

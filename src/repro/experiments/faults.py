@@ -1,26 +1,28 @@
-"""Deterministic fault injection for the sweep scheduler's executors.
+"""Deterministic fault injection for the sweep scheduler's attempt loop.
 
 Testing a fault-tolerant executor with real faults (random crashes,
 actual wall-clock hangs racing a timeout) produces flaky tests.  This
 module instead injects *chosen* faults into *chosen* cells on *chosen*
 attempts: a :class:`FaultPlan` maps (policy, workload) keys to a
-:class:`FaultSpec`, is consulted before and after every cell attempt —
-by the scheduler's inline executor in-process, and pickled into the
-supervisor's worker processes alongside each task — and fires
-deterministically — the Nth attempt of a given cell
-always behaves the same way.
+:class:`FaultSpec`, is consulted before and after every cell attempt
+by the one attempt body,
+:func:`~repro.experiments.supervisor.run_attempt` — in this process
+under the inline executor, and pickled with it into the worker
+processes under the supervised one — and fires deterministically: the
+Nth attempt of a given cell always behaves the same way, so both
+executors see the same retries, failures and journal.
 
 Modes:
 
-- ``"raise"``   — the worker raises :class:`FaultInjected` before
+- ``"raise"``   — the attempt raises :class:`FaultInjected` before
   simulating (exercises the retry path);
-- ``"hang"``    — the worker blocks forever on an event that never
+- ``"hang"``    — the attempt blocks forever on an event that never
   fires (exercises the per-cell timeout kill);
-- ``"crash"``   — the worker process exits immediately via
+- ``"crash"``   — the attempt's process exits immediately via
   ``os._exit`` without reporting (exercises crash isolation and pool
   replenishment, standing in for a segfault or OOM kill);
-- ``"garbage"`` — the worker simulates normally but returns a
-  malformed result (exercises result validation).
+- ``"garbage"`` — the attempt simulates normally but returns a
+  malformed result (exercises the scheduler's result validation).
 
 ``fail_attempts`` bounds the fault to the first N attempts (0-based
 attempt index < N faults); ``ALWAYS`` faults every attempt, producing a
@@ -30,6 +32,7 @@ Only :class:`~repro.experiments.scheduler.SweepScheduler` consults a
 plan (serial ``run_grid`` never does), and an empty plan injects
 nothing.  ``"hang"`` and ``"crash"`` are meant for the supervised
 executor: inline, they would block or exit the scheduler's own process.
+``"raise"`` and ``"garbage"`` behave identically under both.
 
 :class:`ServiceFaultPlan` extends the same discipline one layer up, to
 the job daemon (:mod:`repro.service`): dropped lease heartbeats,
@@ -94,8 +97,8 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of injected faults, keyed by cell.
 
-    Picklable by construction (plain data), so the supervisor can ship
-    it to worker processes with each task.
+    Picklable by construction (plain data), so the worker pool can ship
+    it to worker processes with each attempt.
     """
 
     faults: dict[tuple[str, str], FaultSpec] = field(default_factory=dict)
@@ -110,11 +113,11 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.faults)
 
-    # -- worker-side hooks ----------------------------------------------
+    # -- attempt-side hooks ---------------------------------------------
     def before_cell(self, policy: str, workload: str, attempt: int) -> None:
         """Fire a pre-simulation fault, if one is scheduled.
 
-        Called inside the worker process.  ``"raise"`` raises,
+        Called wherever the attempt runs (this process, or a worker).  ``"raise"`` raises,
         ``"hang"`` never returns, ``"crash"`` kills the process; the
         other modes (and non-faulted cells/attempts) fall through.
         """

@@ -151,16 +151,12 @@ class _FrontendRun:
 def _run_with_frontend(workload: Workload, config: FrontEndConfig) -> _FrontendRun:
     """run_workload, but keeping the frontend for state inspection."""
     from repro.frontend.engine import build_frontend
+    from repro.frontend.options import RunOptions
 
     frontend = build_frontend(config)
-    warmup = min(
-        int(workload.instruction_count() * config.warmup_fraction),
-        config.warmup_cap_instructions,
-    )
     result = frontend.run(
         workload.records(),
-        warmup_instructions=warmup,
-        max_instructions=config.max_instructions,
+        RunOptions.from_config_warmup(config, workload.instruction_count()),
     )
     return _FrontendRun(frontend=frontend, result=result)
 

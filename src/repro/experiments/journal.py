@@ -3,15 +3,15 @@
 Two durability primitives behind the sweep scheduler:
 
 :class:`CellJournal` — an append-only JSONL log of every scheduling
-decision (``planned``, ``claimed``, ``computed``, ``attempt_failed``,
-``failed``, ``cache_hit``, ``lease_broken``).  Each line carries a
-checksum of its own payload, so a torn tail write (the only corruption
-an append-only file can suffer from a crash) is detected and skipped
-instead of poisoning the replay.  Replaying the journal after a
-``kill -9`` recovers per-digest attempt counts — which is what makes
-``RetryPolicy`` budgets survivable across process restarts — and the
-set of digests completed before the crash (the crash-resume tests
-assert none of those are ever recomputed).
+decision (``claimed``, ``attempt_ok``, ``computed``, ``attempt_failed``,
+``failed``, ``cache_hit``).  Each line carries a checksum of its own
+payload, so a torn tail write (the only corruption an append-only file
+can suffer from a crash) is detected and skipped instead of poisoning
+the replay, and the next append starts a fresh line after it.
+Replaying the journal after a ``kill -9`` recovers per-digest attempt
+counts — which is what makes ``RetryPolicy`` budgets survivable across
+process restarts — and the set of digests completed before the crash
+(the crash-resume tests assert none of those are ever recomputed).
 
 :class:`LeaseManager` — advisory work claims, one file per digest under
 ``leases/``.  A claim is atomic via the ``O_CREAT | O_EXCL`` idiom (the
@@ -70,6 +70,18 @@ class JournalState:
     events: int
 
 
+def _ends_midline(path: Path) -> bool:
+    """Whether ``path`` exists and its last byte is not a newline."""
+    try:
+        with open(path, "rb") as handle:
+            if handle.seek(0, os.SEEK_END) == 0:
+                return False
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+    except FileNotFoundError:
+        return False
+
+
 class CellJournal:
     """Append-only, checksummed JSONL journal of cell scheduling events.
 
@@ -82,6 +94,7 @@ class CellJournal:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._handle = None
+        self._midline = False
 
     def close(self) -> None:
         if self._handle is not None:
@@ -90,18 +103,35 @@ class CellJournal:
 
     def append(self, event: str, digest: str, **fields) -> None:
         """Durably append one event line."""
-        payload = {"event": event, "digest": digest, **fields}
+        self.write({"event": event, "digest": digest, **fields})
+
+    def write(self, payload: dict, *, tear: bool = False) -> None:
+        """Durably append one checksummed line carrying ``payload``.
+
+        Every line starts on a line of its own: when the file (or this
+        handle's last write) ends mid-line — a torn tail — a newline goes
+        first, so the fragment stays one skippable line and never swallows
+        the event written after it.  ``tear`` writes only the first half
+        of the line (the fault drill for a crash mid-append).
+        """
         line = {
             "schema": JOURNAL_SCHEMA,
             "checksum": canonical_fingerprint(payload, length=16),
             **payload,
         }
+        text = json.dumps(line, sort_keys=True) + "\n"
+        if tear:
+            text = text[: max(1, len(text) // 2)]
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._midline = _ends_midline(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(line, sort_keys=True) + "\n")
+        if self._midline:
+            text = "\n" + text
+        self._handle.write(text)
         self._handle.flush()
         os.fsync(self._handle.fileno())
+        self._midline = not text.endswith("\n")
 
     @staticmethod
     def read(path: str | Path) -> list[dict]:

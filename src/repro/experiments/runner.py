@@ -226,11 +226,9 @@ class GridResult:
 
 
 def _warmup_for(workload: Workload, config: FrontEndConfig) -> int:
-    """The paper's warm-up: half the trace, capped at a fixed budget."""
-    return min(
-        int(workload.instruction_count() * config.warmup_fraction),
-        config.warmup_cap_instructions,
-    )
+    """The paper's warm-up (:meth:`RunOptions.from_config_warmup`)."""
+    options = RunOptions.from_config_warmup(config, workload.instruction_count())
+    return options.warmup_instructions
 
 
 def _run_options_for(

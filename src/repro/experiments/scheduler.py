@@ -29,17 +29,25 @@ properties follow from that identity:
 - **warm-up memoization** — cells sharing a warm-up prefix replay only
   their measurement windows (:mod:`repro.experiments.snapshots`).
 
-Execution is either *inline* (this process, serial — the facade and
-job-service path) or *supervised* (pass a
-:class:`~repro.experiments.supervisor.SupervisorConfig` to run cells in
-the fault-isolated worker pool with timeouts and crash recovery — the
-``repro-sim grid`` path).  Both share planning, caching, journaling,
-leasing, and the one ``retry`` budget.
+One attempt loop runs every owned cell that missed the cache: it
+claims the cell's lease when it first dispatches it, validates each
+finished attempt, journals the verdict (``attempt_ok`` or
+``attempt_failed``), writes a success to the cache, re-queues a failure
+with its :class:`~repro.experiments.supervisor.RetryPolicy` backoff, and
+degrades a cell that exhausts the budget to a
+:class:`~repro.experiments.runner.FailedCell`.  Its counters are
+``scheduler.*`` whichever executor runs the attempts: *inline* (this
+process, serially — the facade and job-service path) or the
+*supervised* worker pool (pass a
+:class:`~repro.experiments.supervisor.SupervisorConfig` for parallelism,
+crash isolation and per-cell timeouts — the ``repro-sim grid`` path).
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -47,23 +55,21 @@ from pathlib import Path
 from repro.experiments.cellcache import CellCache, SnapshotStore
 from repro.experiments.content import cell_digest, grid_signature, shard_of
 from repro.experiments.faults import FaultPlan
-from repro.experiments.journal import CellJournal, JournalState, LeaseManager
+from repro.experiments.journal import CellJournal, LeaseManager
 from repro.experiments.runner import (
     CellResult,
     FailedCell,
     GridResult,
     validate_cell,
 )
-from repro.experiments.snapshots import (
-    NOTE_HIT,
-    NOTE_WRITE,
-    run_cell_snapshotted,
-)
+from repro.experiments.snapshots import NOTE_HIT, NOTE_WRITE
 from repro.experiments.supervisor import (
+    Attempt,
     RetryPolicy,
     SupervisorConfig,
-    _Supervisor,
-    _Task,
+    _InlineExecutor,
+    _WorkerPool,
+    run_attempt,
 )
 from repro.frontend.config import FrontEndConfig
 from repro.obs import NULL_OBS, Observability, get_logger
@@ -158,7 +164,8 @@ class SweepStats:
 
 @dataclass(slots=True)
 class _Cell:
-    """One planned slot: request position plus content identity."""
+    """One planned slot: request position, content identity, and — once
+    owned and missing from the cache — its attempt state and outcome."""
 
     slot: int
     workload: Workload
@@ -166,10 +173,15 @@ class _Cell:
     digest: str
     duplicate_of: int | None = None  # slot of the identical primary cell
     owned: bool = True               # False: another shard computes this
+    attempt: int = 0                 # 0-based attempt about to run / running
+    ready_at: float = 0.0            # earliest dispatch time (backoff)
+    elapsed: float = 0.0             # summed wall time of finished attempts
+    result: CellResult | None = None
+    failure: FailedCell | None = None
 
-
-class _GarbageResult(RuntimeError):
-    """A computed (or fault-mangled) cell failed result validation."""
+    @property
+    def key(self) -> str:
+        return f"{self.policy}/{self.workload.name}"
 
 
 class SweepScheduler:
@@ -292,8 +304,6 @@ class SweepScheduler:
             workloads = (workloads,)
         cells = self.plan(workloads, policies)
         journal_state = self.journal.replay()
-        results: dict[int, CellResult] = {}
-        failures: dict[int, FailedCell] = {}
         pending: list[_Cell] = []
 
         for cell in cells:
@@ -303,7 +313,7 @@ class SweepScheduler:
             if hit is not None:
                 problem = validate_cell(hit, cell.policy, cell.workload.name)
                 if problem is None:
-                    results[cell.slot] = hit
+                    cell.result = hit
                     self.stats.cache_hits += 1
                     self.obs.inc("scheduler.cache_hits")
                     self.journal.append("cache_hit", cell.digest)
@@ -319,41 +329,84 @@ class SweepScheduler:
                 )
             self.stats.cache_misses += 1
             self.obs.inc("scheduler.cache_misses")
+            # Attempts already burned before a crash count against the
+            # retry budget: the journal, not process memory, is the
+            # authority on how many tries this digest has had.
+            cell.attempt = journal_state.attempts.get(cell.digest, 0)
             pending.append(cell)
 
         if pending:
-            if self.supervisor is not None:
-                self._run_supervised(pending, results, failures, journal_state,
-                                     progress)
-            else:
-                self._run_inline(pending, results, failures, journal_state,
-                                 progress)
+            self._execute(pending, progress)
         self.leases.release_all()
         self.stats.lease_conflicts = self.leases.conflicts
         self.stats.leases_recovered = self.leases.recovered
-        if self.snapshots is not None and self.supervisor is None:
-            self.stats.snapshot_hits = self.snapshots.hits
-            self.stats.snapshot_writes = self.snapshots.writes
         if self.leases.recovered:
             self.obs.inc("scheduler.leases_recovered", self.leases.recovered)
 
         grid = GridResult()
         for cell in cells:
-            if cell.duplicate_of is not None:
-                continue  # identical to its primary; one copy in the grid
-            if cell.slot in results:
-                grid.add(results[cell.slot])
-            elif cell.slot in failures:
-                grid.add_failure(failures[cell.slot])
+            if cell.result is not None:
+                grid.add(cell.result)
+            elif cell.failure is not None:
+                grid.add_failure(cell.failure)
         return grid
+
+    def _executor(self):
+        attempt = functools.partial(
+            run_attempt, config=self.config, snapshots=self.snapshots,
+            fault_plan=self.fault_plan, engine=self.engine,
+            verify=self.verify, telemetry=self.telemetry,
+        )
+        if self.supervisor is None:
+            return _InlineExecutor(attempt, self.obs, self.monotonic)
+        return _WorkerPool(self.supervisor, attempt, self.obs, self.monotonic)
+
+    def _execute(self, pending: list[_Cell], progress) -> None:
+        """The one attempt loop, over either executor.
+
+        A failed attempt re-enters the queue with its backoff
+        ``ready_at``; the loop sleeps only when nothing is ready or in
+        flight.
+        """
+        queue = deque(pending)
+        executor = self._executor()
+        try:
+            with self.obs.span("scheduled_sweep"):
+                while queue or executor.busy:
+                    self._maybe_heartbeat()
+                    now = self.monotonic()
+                    # Dispatch in queue order, keeping the order of cells
+                    # still backing off.  A cell's lease is claimed when
+                    # it is first dispatched and held across its retries.
+                    for _ in range(len(queue)):
+                        if not executor.idle:
+                            break
+                        cell = queue.popleft()
+                        if cell.ready_at > now:
+                            queue.append(cell)
+                        elif cell.digest in self.leases.held or self._claim(cell):
+                            executor.submit(cell, now)
+                    if executor.busy:
+                        until = min(
+                            (c.ready_at for c in queue if c.ready_at > now),
+                            default=None,
+                        )
+                        for cell, outcome in executor.collect(until):
+                            if self._settle(cell, outcome, progress):
+                                queue.append(cell)
+                    elif queue:
+                        # Everything runnable is backing off; idle until
+                        # the earliest retry is due.
+                        self.sleep(min(c.ready_at for c in queue) - now)
+        finally:
+            executor.close()
 
     def _claim(self, cell: _Cell) -> bool:
         lease = self.leases.claim(cell.digest)
         if lease is None:
             self.obs.inc("scheduler.lease_conflicts")
             _LOG.info(
-                "cell %s/%s is leased by another runner; skipping",
-                cell.policy, cell.workload.name,
+                "cell %s is leased by another runner; skipping", cell.key,
             )
             return False
         self.obs.inc("scheduler.leases_acquired")
@@ -361,167 +414,85 @@ class SweepScheduler:
                             policy=cell.policy, workload=cell.workload.name)
         return True
 
-    def _finish(self, cell: _Cell, result: CellResult, attempt: int,
-                note: str | None) -> None:
+    def _settle(self, cell: _Cell, outcome: Attempt, progress) -> bool:
+        """Validate, cache, retry or fail one finished attempt.
+
+        Returns True when the cell goes back in the queue for a retry.
+        """
+        cell.elapsed += outcome.seconds
+        if outcome.kind is None:
+            problem = validate_cell(outcome.result, cell.policy, cell.workload.name)
+            if problem is None:
+                # Every attempt's verdict is journaled before it is acted
+                # on; for a success that is the write-ahead record of the
+                # cache write (``computed`` commits it).
+                self.journal.append("attempt_ok", cell.digest,
+                                    attempt=cell.attempt)
+                self._finish(cell, outcome.result, outcome.note)
+                if progress is not None:
+                    progress(outcome.result)
+                return False
+            outcome = Attempt(kind="garbage", error_type="GarbageResult",
+                              message=problem)
+        kind = outcome.kind
+        self.obs.inc(f"scheduler.attempts_{kind}")
+        self.journal.append("attempt_failed", cell.digest, attempt=cell.attempt,
+                            kind=kind, error=outcome.error_type)
+        if cell.attempt < self.retry.max_retries:
+            delay = self.retry.backoff_seconds(
+                cell.policy, cell.workload.name, cell.attempt
+            )
+            self.obs.inc("scheduler.retries")
+            self.obs.event("cell_retry", cell=cell.key, attempt=cell.attempt,
+                           failure=kind, error=outcome.error_type,
+                           backoff_seconds=delay)
+            _LOG.warning(
+                "cell %s attempt %d failed (%s: %s); retrying in %.2fs",
+                cell.key, cell.attempt, outcome.error_type, outcome.message,
+                delay,
+            )
+            cell.attempt += 1
+            cell.ready_at = self.monotonic() + delay
+            return True
+        cell.failure = FailedCell(
+            policy=cell.policy,
+            workload=cell.workload.name,
+            kind=kind,
+            error_type=outcome.error_type,
+            message=outcome.message,
+            attempts=cell.attempt + 1,
+            elapsed_seconds=cell.elapsed,
+            bundle_path=outcome.bundle_path,
+        )
+        self.stats.failed += 1
+        self.obs.inc("scheduler.cells_failed")
+        self.obs.event("cell_failed", cell=cell.key, failure=kind,
+                       error=outcome.error_type, attempts=cell.attempt + 1,
+                       bundle=outcome.bundle_path)
+        self.journal.append("failed", cell.digest, attempts=cell.attempt + 1,
+                            kind=kind)
+        self.leases.release(cell.digest)
+        self.obs.inc("scheduler.leases_released")
+        _LOG.error("cell %s failed permanently: %s", cell.key,
+                   cell.failure.summary_line())
+        return False
+
+    def _finish(self, cell: _Cell, result: CellResult, note: str | None) -> None:
         self.cache.put(cell.digest, result, meta={
             "policy": cell.policy,
             "workload": cell.workload.name,
             "owner": self.leases.owner,
             "snapshot": note,
         })
-        self.journal.append("computed", cell.digest, attempt=attempt)
+        self.journal.append("computed", cell.digest, attempt=cell.attempt)
         self.leases.release(cell.digest)
         self.obs.inc("scheduler.leases_released")
+        cell.result = result
         self.stats.computed += 1
         self.obs.inc("scheduler.cells_computed")
         if note == NOTE_HIT:
+            self.stats.snapshot_hits += 1
             self.obs.inc("scheduler.snapshot_hits")
         elif note == NOTE_WRITE:
+            self.stats.snapshot_writes += 1
             self.obs.inc("scheduler.snapshot_writes")
-
-    # -- inline executor ------------------------------------------------
-    def _compute(self, cell: _Cell, attempt: int) -> tuple[CellResult, str | None]:
-        if self.fault_plan is not None:
-            self.fault_plan.before_cell(cell.policy, cell.workload.name, attempt)
-        result, note = run_cell_snapshotted(
-            cell.workload, cell.policy, self.config, self.snapshots,
-            obs=self.obs, engine=self.engine, verify=self.verify,
-            telemetry=self.telemetry,
-        )
-        if self.fault_plan is not None:
-            result = self.fault_plan.mangle_result(
-                cell.policy, cell.workload.name, attempt, result
-            )
-        problem = validate_cell(result, cell.policy, cell.workload.name)
-        if problem is not None:
-            raise _GarbageResult(problem)
-        return result, note
-
-    def _run_inline(
-        self,
-        pending: list[_Cell],
-        results: dict[int, CellResult],
-        failures: dict[int, FailedCell],
-        journal_state: JournalState,
-        progress,
-    ) -> None:
-        for cell in pending:
-            self._maybe_heartbeat()
-            if not self._claim(cell):
-                continue
-            # Attempts already burned before a crash count against the
-            # retry budget: the journal, not process memory, is the
-            # authority on how many tries this digest has had.
-            attempt = journal_state.attempts.get(cell.digest, 0)
-            started = self.monotonic()
-            while True:
-                try:
-                    result, note = self._compute(cell, attempt)
-                except Exception as error:
-                    kind = ("garbage" if isinstance(error, _GarbageResult)
-                            else "error")
-                    self.obs.inc(f"scheduler.attempts_{kind}")
-                    self.journal.append(
-                        "attempt_failed", cell.digest, attempt=attempt,
-                        kind=kind, error=type(error).__name__,
-                    )
-                    if attempt < self.retry.max_retries:
-                        delay = self.retry.backoff_seconds(
-                            cell.policy, cell.workload.name, attempt
-                        )
-                        _LOG.warning(
-                            "cell %s/%s attempt %d failed (%s); retrying in "
-                            "%.2fs", cell.policy, cell.workload.name, attempt,
-                            error, delay,
-                        )
-                        attempt += 1
-                        self.sleep(delay)
-                        self._maybe_heartbeat()
-                        continue
-                    failure = FailedCell(
-                        policy=cell.policy,
-                        workload=cell.workload.name,
-                        kind=kind,
-                        error_type=type(error).__name__,
-                        message=str(error),
-                        attempts=attempt + 1,
-                        elapsed_seconds=self.monotonic() - started,
-                        bundle_path=getattr(error, "bundle_path", None),
-                    )
-                    failures[cell.slot] = failure
-                    self.stats.failed += 1
-                    self.obs.inc("scheduler.cells_failed")
-                    self.journal.append(
-                        "failed", cell.digest, attempts=attempt + 1, kind=kind
-                    )
-                    self.leases.release(cell.digest)
-                    self.obs.inc("scheduler.leases_released")
-                    break
-                else:
-                    self._finish(cell, result, attempt, note)
-                    results[cell.slot] = result
-                    if progress is not None:
-                        progress(result)
-                    break
-
-    # -- supervised executor --------------------------------------------
-    def _run_supervised(
-        self,
-        pending: list[_Cell],
-        results: dict[int, CellResult],
-        failures: dict[int, FailedCell],
-        journal_state: JournalState,
-        progress,
-    ) -> None:
-        by_slot = {cell.slot: cell for cell in pending}
-
-        def sink(task: _Task, result: CellResult, note: str | None) -> None:
-            self._finish(by_slot[task.slot], result, task.attempt, note)
-            if note == NOTE_HIT:
-                self.stats.snapshot_hits += 1
-            elif note == NOTE_WRITE:
-                self.stats.snapshot_writes += 1
-
-        def on_attempt_failed(task: _Task, kind: str, error_type: str,
-                              will_retry: bool) -> None:
-            self.journal.append(
-                "attempt_failed", task.digest, attempt=task.attempt,
-                kind=kind, error=error_type,
-            )
-            if not will_retry:
-                self.journal.append(
-                    "failed", task.digest, attempts=task.attempt + 1, kind=kind
-                )
-                self.leases.release(task.digest)
-                self.obs.inc("scheduler.leases_released")
-                self.stats.failed += 1
-                self.obs.inc("scheduler.cells_failed")
-
-        def tick(_now: float) -> None:
-            self._maybe_heartbeat()
-
-        executor = _Supervisor(
-            self.config, self.supervisor, self.retry, self.fault_plan, progress,
-            self.obs, self.monotonic, self.sleep,
-            engine=self.engine, verify=self.verify, telemetry=self.telemetry,
-            sink=sink, tick=tick, on_attempt_failed=on_attempt_failed,
-            snapshot_dir=(
-                str(self.cache.snapshots_dir) if self.snapshots is not None
-                else None
-            ),
-        )
-        tasks: list[_Task] = []
-        for cell in pending:
-            if not self._claim(cell):
-                continue
-            tasks.append(_Task(
-                slot=cell.slot,
-                workload=cell.workload,
-                policy=cell.policy,
-                attempt=journal_state.attempts.get(cell.digest, 0),
-                digest=cell.digest,
-            ))
-        with self.obs.span("scheduled_sweep"):
-            executor.run(tasks)
-        results.update(executor.results)
-        failures.update(executor.failures)

@@ -140,9 +140,8 @@ class RunOptions:
     ) -> "RunOptions":
         """The paper's warm-up rule: half the trace, capped.
 
-        This is what ``FrontEnd.run_with_config_warmup`` used to compute
-        inline; it now lives on the options type so every engine and the
-        facade share one implementation.
+        The one implementation of the rule: the facade, the cell runner
+        and the figure generators all call it.
         """
         warmup = min(
             int(total_instructions_hint * config.warmup_fraction),

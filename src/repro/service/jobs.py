@@ -29,13 +29,12 @@ sweep whose cells are all cache hits.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.experiments.cellcache import atomic_write_json, read_checked_json
-from repro.experiments.journal import JOURNAL_SCHEMA, CellJournal
+from repro.experiments.journal import CellJournal
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import ENGINES
 from repro.policies.registry import available_policies
@@ -267,13 +266,11 @@ class JobRecord:
 class JobStore:
     """The durable layer under the manager: journal, results, events.
 
-    Journal lines use the exact :class:`CellJournal` wire format (same
-    schema tag, same per-line checksum over the payload), so
-    :meth:`CellJournal.read` replays them and torn tails are skipped
-    with the same discipline the cell layer already tests.  Appends are
-    written here rather than through :class:`CellJournal` so the fault
-    plan can tear a submit line deliberately — the recovery drill for
-    the one corruption an append-only file can suffer.
+    Journal lines are written and replayed by :class:`CellJournal`
+    (same schema tag, same per-line checksum, same torn-tail handling as
+    the cell layer); the fault plan's ``tear_line`` hook tears a submit
+    line deliberately — the recovery drill for the one corruption an
+    append-only file can suffer.
     """
 
     def __init__(self, root: str | Path, *,
@@ -287,30 +284,18 @@ class JobStore:
         #: Fault hook: given the event kind, return True to tear this
         #: line's tail (simulating a crash mid-append).
         self.tear_line = tear_line
-        self._handle = None
+        self.journal = CellJournal(self.journal_path)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.journal.close()
 
     # -- journal --------------------------------------------------------
     def append(self, event: str, job_id: str, **fields) -> None:
         """Durably append one job event (fsynced before returning)."""
-        payload = {"event": event, "job": job_id, **fields}
-        line = {
-            "schema": JOURNAL_SCHEMA,
-            "checksum": canonical_fingerprint(payload, length=16),
-            **payload,
-        }
-        text = json.dumps(line, sort_keys=True) + "\n"
-        if self.tear_line is not None and self.tear_line(event):
-            text = text[: max(1, len(text) // 2)]
-        if self._handle is None:
-            self._handle = open(self.journal_path, "a", encoding="utf-8")
-        self._handle.write(text)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self.journal.write(
+            {"event": event, "job": job_id, **fields},
+            tear=self.tear_line is not None and self.tear_line(event),
+        )
 
     def events(self) -> list[dict]:
         """All intact journal events, oldest first (torn lines skipped)."""

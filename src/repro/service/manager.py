@@ -106,10 +106,11 @@ class ServiceConfig:
 
     workers: int = 2
     max_queue_depth: int = 16
-    default_max_retries: int = 1
     default_deadline_seconds: float | None = None
-    #: Job-level backoff between failed attempts (cell-level retries
-    #: inside a sweep have their own policy in the scheduler).
+    #: Job-level retries: ``max_retries`` is the default per-job budget
+    #: (a submission's ``max_retries`` overrides it), and the backoff
+    #: paces re-queued attempts.  Cell-level retries inside a sweep have
+    #: their own policy in the scheduler.
     retry: RetryPolicy = RetryPolicy(
         max_retries=1, backoff_base_seconds=0.25, jitter_fraction=0.1
     )
@@ -117,7 +118,6 @@ class ServiceConfig:
     heartbeat_interval_seconds: float = 2.0
     #: Advisory Retry-After seconds on 429/503 rejections.
     retry_after_seconds: float = 2.0
-    snapshots: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -225,7 +225,7 @@ class JobManager:
                                      or isinstance(deadline, bool)
                                      or deadline <= 0):
             raise JobValidationError("deadline_seconds must be a positive number")
-        retries = payload.get("max_retries", self.config.default_max_retries)
+        retries = payload.get("max_retries", self.config.retry.max_retries)
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise JobValidationError("max_retries must be a non-negative integer")
         job_id = spec.fingerprint()
@@ -384,9 +384,12 @@ class JobManager:
                 owner=f"job:{job_id}:{os.getpid()}",
                 lease_expiry_seconds=self.config.lease_expiry_seconds,
                 heartbeat_interval_seconds=self.config.heartbeat_interval_seconds,
-                snapshots=self.config.snapshots,
+                # No warm-up snapshots: a repeated cell is a cell-cache
+                # hit, so only a job differing in max_instructions alone
+                # could read one, and pickling every computed cell costs
+                # more than that rare reuse saves.
+                snapshots=False,
             ),
-            obs=Observability(),
             engine=spec.engine,
             verify=spec.verify,
             clock=self.clock.wall,
@@ -432,7 +435,7 @@ class JobManager:
         except _JobInterrupted as stop:
             self._on_interrupted(record, stop.reason)
         except Exception as exc:  # noqa: BLE001 -- any failure is an attempt
-            self._on_attempt_failed(record, exc)
+            self._on_job_attempt_failed(record, exc)
         else:
             self._on_finished(record, grid, scheduler)
         finally:
@@ -474,7 +477,7 @@ class JobManager:
                 record.finished_at = now
                 self.obs.inc("service.jobs_expired")
 
-    def _on_attempt_failed(self, record: JobRecord, exc: Exception) -> None:
+    def _on_job_attempt_failed(self, record: JobRecord, exc: Exception) -> None:
         now = self.clock.wall()
         attempt = record.attempts - 1
         with self._lock:

@@ -449,6 +449,24 @@ class TestJournal:
         state = CellJournal(path).replay()
         assert state.computed == {"d1", "d2"}
 
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = CellJournal(path)
+        journal.append("attempt_failed", "aa", attempt=0, kind="crash")
+        journal.close()
+        intact = path.read_text(encoding="utf-8")
+        # A kill -9 mid-append tore the next line; a restarted scheduler
+        # then journals its own attempt and the success.
+        path.write_text(intact + intact[:25], encoding="utf-8")
+        restarted = CellJournal(path)
+        restarted.append("attempt_failed", "aa", attempt=1, kind="crash")
+        restarted.append("computed", "aa", attempt=2)
+        restarted.close()
+        state = CellJournal(path).replay()
+        assert state.attempts == {"aa": 2}
+        assert state.computed == {"aa"}
+        assert state.events == 3
+
     def test_tampered_line_fails_checksum(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = CellJournal(path)

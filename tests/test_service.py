@@ -14,6 +14,7 @@ import pytest
 
 from repro.experiments.faults import ServiceFaultPlan
 from repro.experiments.journal import CellJournal
+from repro.experiments.supervisor import RetryPolicy
 from repro.service import (
     JobManager,
     JobSpec,
@@ -186,6 +187,21 @@ class TestJobStore:
         assert list(replayed) == ["j1"]
         assert replayed["j1"].state == QUEUED
 
+    def test_append_after_torn_tail_survives_replay(self, tmp_path, clock):
+        # The torn submit of job A leaves the journal ending mid-line;
+        # job B's submit must start a fresh line, or it joins A's
+        # fragment and is lost on every replay despite being acknowledged.
+        faults = ServiceFaultPlan(torn_submits=1)
+        manager = manager_for(tmp_path, clock, faults=faults)
+        first, _ = manager.submit(payload(seed=1))
+        second, _ = manager.submit(payload(seed=2))
+        assert second.state == QUEUED
+        manager.close()
+        reborn = manager_for(tmp_path, clock)
+        assert list(reborn.jobs) == [second.job_id]
+        assert reborn.jobs[second.job_id].state == QUEUED
+        assert first.job_id not in reborn.jobs
+
     def test_read_progress_returns_only_complete_lines(self, tmp_path):
         store = JobStore(tmp_path)
         path = store.events_path("j1")
@@ -277,6 +293,36 @@ class TestExecution:
         assert document["grid_signature"] == record.grid_signature
         assert document["exit_code"] == 0 and not document["partial"]
         assert len(document["cells"]) == 1
+
+    def test_fast_engine_job_runs_the_batch_loop(self, tmp_path, clock,
+                                                  monkeypatch):
+        # Job sweeps simulate with observability off, so the fast
+        # engine's batch gate lets them onto the chunked batch loop.
+        from repro.kernel.engine import FastFrontEnd
+
+        calls = []
+        batch = FastFrontEnd._run_window_batch
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(FastFrontEnd, "_run_window_batch", counting)
+        manager = manager_for(tmp_path, clock)
+        record, _ = manager.submit(payload(policies=["lru", "ghrp"],
+                                           engine="fast"))
+        assert manager.run_once()
+        assert record.state == DONE and not record.partial
+        assert calls
+
+    def test_retry_policy_sets_the_default_job_retry_budget(self, tmp_path,
+                                                           clock):
+        config = ServiceConfig(workers=1, retry=RetryPolicy(max_retries=3))
+        manager = manager_for(tmp_path, clock, config=config)
+        record, _ = manager.submit(payload())
+        assert record.max_retries == 3
+        explicit, _ = manager.submit(payload(seed=2, max_retries=0))
+        assert explicit.max_retries == 0
 
     def test_done_job_resubmission_serves_cached_result(self, tmp_path, clock):
         manager = manager_for(tmp_path, clock)

@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.experiments.cellcache import CellCache
 from repro.experiments.content import grid_signature
 from repro.experiments.faults import ALWAYS, FaultPlan, FaultSpec
+from repro.experiments.journal import CellJournal
 from repro.experiments.report_markdown import markdown_report
 from repro.experiments.runner import (
     CellResult,
@@ -142,8 +143,8 @@ class TestRetries:
             timer=timer,
         ).run([workload], ["lru"])
         assert grid.complete and len(grid.cells) == 1
-        assert obs.metrics.counter("supervisor.retries") == 2
-        assert obs.metrics.counter("supervisor.cells_ok") == 1
+        assert obs.metrics.counter("scheduler.retries") == 2
+        assert obs.metrics.counter("scheduler.cells_computed") == 1
         # The backoff waits follow the policy's deterministic schedule —
         # recorded by the injected fake timer, so the test never sleeps.
         expected = [retry.backoff_seconds("lru", "w", attempt)
@@ -207,7 +208,7 @@ class TestIsolation:
         ).run([workload], ["lru"])
         assert grid.complete and len(grid.cells) == 1
         assert obs.metrics.counter("supervisor.timeouts") == 1
-        assert obs.metrics.counter("supervisor.retries") == 1
+        assert obs.metrics.counter("scheduler.retries") == 1
 
     def test_hang_with_no_retries_becomes_timeout_failure(
         self, tmp_path, workload, config
@@ -245,8 +246,27 @@ class TestIsolation:
             [workload], ["lru"]
         )
         assert grid.complete
-        assert obs.metrics.counter("supervisor.garbage_results") == 1
+        assert obs.metrics.counter("scheduler.attempts_garbage") == 1
         assert validate_cell(grid.cells[0]) is None
+
+    def test_progress_exception_escapes_after_caching_and_reaps_workers(
+        self, tmp_path, workload, config
+    ):
+        # The job service cancels, drains and expires jobs by raising out
+        # of the progress callback: the cell is cached first, and no
+        # worker process outlives the run.
+        class Stop(Exception):
+            pass
+
+        def progress(cell):
+            raise Stop(cell.policy)
+
+        scheduler = supervised(tmp_path, config,
+                               supervisor=supervisor_config(workers=2))
+        with pytest.raises(Stop):
+            scheduler.run([workload], ["lru", "random"], progress=progress)
+        assert len(CellCache(tmp_path / "cache")) >= 1
+        assert multiprocessing.active_children() == []
 
     def test_persistent_garbage_degrades_with_garbage_kind(
         self, tmp_path, workload, config
@@ -283,7 +303,7 @@ class TestCheckpointResume:
         ).run([workload], ["lru", "random"])
         assert second.complete and len(second.cells) == 2
         assert obs.metrics.counter("scheduler.cache_hits") == 1
-        assert obs.metrics.counter("supervisor.cells_ok") == 1
+        assert obs.metrics.counter("scheduler.cells_computed") == 1
         assert len(CellCache(tmp_path / "cache")) == 2
 
     def test_resumed_cells_match_fresh_simulation(self, tmp_path, workload, config):
@@ -344,7 +364,7 @@ class TestAcceptanceScenario:
             "fifo", "error", 3
         )
         assert obs.metrics.counter("supervisor.timeouts") == 1
-        assert obs.metrics.counter("supervisor.retries") >= 3
+        assert obs.metrics.counter("scheduler.retries") >= 3
 
         # Resume recomputes only the dead cell (fault it no longer has).
         obs2 = Observability()
@@ -354,7 +374,55 @@ class TestAcceptanceScenario:
         )
         assert resumed.complete and len(resumed.cells) == 4
         assert obs2.metrics.counter("scheduler.cache_hits") == 3
-        assert obs2.metrics.counter("supervisor.cells_ok") == 1
+        assert obs2.metrics.counter("scheduler.cells_computed") == 1
+
+
+class TestExecutorParity:
+    """One fault plan through both executors: the attempt loop is shared,
+    so the grid, the failures, the journal and the counters all agree."""
+
+    @staticmethod
+    def sweep(root, config, workload, supervisor):
+        plan = (
+            FaultPlan()
+            .add("lru", "w", FaultSpec("raise", ALWAYS))
+            .add("random", "w", FaultSpec("raise", fail_attempts=1))
+            .add("srrip", "w", FaultSpec("garbage", fail_attempts=1))
+        )
+        obs = Observability()
+        timer = FakeTimer()
+        scheduler = SweepScheduler(
+            root / "cache", config, retry=FAST_RETRY, supervisor=supervisor,
+            fault_plan=plan, obs=obs, monotonic=timer.clock, sleep=timer.sleep,
+        )
+        grid = scheduler.run([workload], ["lru", "random", "srrip", "fifo"])
+        journal: dict[str, list] = {}
+        for event in CellJournal.read(scheduler.cache.journal_path):
+            journal.setdefault(event["digest"], []).append((
+                event["event"], event.get("attempt"), event.get("kind"),
+                event.get("error"),
+            ))
+        counters = {
+            name: value
+            for name, value in obs.metrics.snapshot()["counters"].items()
+            if name.startswith("scheduler.")
+        }
+        failures = [(f.policy, f.kind, f.error_type, f.attempts)
+                    for f in grid.failed]
+        return grid_signature(grid), failures, journal, counters
+
+    def test_inline_and_supervised_runs_agree(self, tmp_path, workload, config):
+        inline = self.sweep(tmp_path / "inline", config, workload, None)
+        pooled = self.sweep(tmp_path / "pool", config, workload,
+                            supervisor_config(workers=2))
+        assert inline == pooled
+        _, failures, _, counters = inline
+        assert failures == [("lru", "error", "FaultInjected", 3)]
+        assert counters["scheduler.cells_computed"] == 3
+        assert counters["scheduler.cells_failed"] == 1
+        assert counters["scheduler.attempts_error"] == 4
+        assert counters["scheduler.attempts_garbage"] == 1
+        assert counters["scheduler.retries"] == 4
 
 
 class TestGridResultDuplicates:
