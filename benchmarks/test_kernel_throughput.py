@@ -37,7 +37,7 @@ BENCH_HISTORY_PATH = os.path.join(_REPO_ROOT, BENCH_HISTORY_NAME)
 # The benchmark workload: one SHORT_SERVER trace at half scale (standard)
 # — large enough that per-access overheads dominate, small enough for CI.
 _TRACE_SCALE = {"quick": 0.1, "standard": 0.5}[PROFILE]
-_POLICIES = ("lru", "sdbp", "ghrp")
+_POLICIES = ("lru", "random", "srrip", "sdbp", "ghrp")  # the paper's five
 _ROUNDS = 3  # best-of-N: absorbs one-off scheduler noise
 
 # The floor asserted here is intentionally far below the recorded
@@ -166,7 +166,7 @@ def test_kernel_throughput():
             "speedup": round(speedup, 2),
         }
         print(
-            f"[kernel-throughput] {policy:5s} reference {ref_seconds:.3f}s  "
+            f"[kernel-throughput] {policy:6s} reference {ref_seconds:.3f}s  "
             f"fast {fast_seconds:.3f}s  speedup {speedup:.2f}x  "
             f"({accesses / fast_seconds:,.0f} accesses/s)"
         )

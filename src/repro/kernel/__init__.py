@@ -26,8 +26,12 @@ This package is a *semantic twin* of the reference simulation stack
 Kernels implement the declarative :class:`~repro.kernel.base.BatchKernel`
 protocol and register against the *exact* policy class they replay with
 the :func:`~repro.kernel.base.batch_kernel` decorator — registration is
-the fast-path opt-in; policies without a registered kernel transparently
-fall back to the reference engine.  The differential suite
+the fast-path opt-in.  All five paper policies have kernels: LRU
+(:mod:`~repro.kernel.lru`), Random and SRRIP
+(:mod:`~repro.kernel.baselines`), SDBP (:mod:`~repro.kernel.sdbp`) and
+GHRP (:mod:`~repro.kernel.ghrp`).  Policies without a registered kernel
+(MRU, or BRRIP/DRRIP, which subclass SRRIP with different fills)
+transparently fall back to the reference engine.  The differential suite
 (``tests/test_kernel_differential.py``) pins the two paths bit-identical:
 same hit/miss/eviction/bypass counts, same predictor-table contents, same
 per-block metadata.
@@ -40,6 +44,7 @@ from repro.kernel.base import (
     BTBKernel,
     CacheKernel,
     KernelContext,
+    StreamKernel,
     WindowPlan,
     batch_kernel,
     batch_kernel_for,
@@ -49,7 +54,7 @@ from repro.kernel.engine import FastFrontEnd, fast_path_unsupported_reason
 from repro.kernel.tokenizer import TokenCache, TraceTokens, tokenize_trace
 
 # Importing the kernel modules registers their kernels.
-from repro.kernel import direction, ghrp, lru, sdbp  # noqa: E402,F401  (registration side effects)
+from repro.kernel import baselines, direction, ghrp, lru, sdbp  # noqa: E402,F401  (registration side effects)
 
 __all__ = [
     "BatchKernel",
@@ -57,6 +62,7 @@ __all__ = [
     "CacheKernel",
     "FastFrontEnd",
     "KernelContext",
+    "StreamKernel",
     "TokenCache",
     "TraceTokens",
     "WindowPlan",

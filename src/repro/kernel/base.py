@@ -47,6 +47,7 @@ __all__ = [
     "BatchKernel",
     "WindowPlan",
     "CacheKernel",
+    "StreamKernel",
     "BTBKernel",
     "KernelContext",
     "batch_kernel",
@@ -430,6 +431,102 @@ class CacheKernel(BatchKernel):
 
     def _victim_address(self, row: list[int], set_index: int, way: int) -> int:
         return (row[way] << self._tag_shift) | (set_index << self._offset_bits)
+
+    def _emit_eviction(
+        self,
+        set_index: int,
+        way: int,
+        row: list[int],
+        block: int,
+        pc: int,
+        predicted_dead: bool = False,
+        **telemetry,
+    ) -> None:
+        """Reference ``_emit_eviction``; ``telemetry`` is the policy's
+        ``victim_telemetry`` payload.  Only called with observability
+        on, before the fill overwrites ``row[way]``."""
+        obs = self.obs
+        obs.inc(self._m_evictions)
+        if predicted_dead:
+            obs.inc(self._m_dead_evictions)
+        obs.event(
+            "eviction",
+            structure=self.scope,
+            set=set_index,
+            way=way,
+            victim_address=self._victim_address(row, set_index, way),
+            predicted_dead=predicted_dead,
+            incoming_address=block,
+            pc=pc,
+            cause="demand",
+            **telemetry,
+        )
+
+
+class StreamKernel(CacheKernel):
+    """A cache kernel whose one window loop serves both token streams.
+
+    The I-cache fetch-block stream and the BTB stream differ only in
+    their token arrays and in the BTB's per-way target array, so a kernel
+    with no cross-structure coupling implements :meth:`_stream_window`
+    once: ``targets``/``btarget`` are None for the I-cache and the BTB's
+    aliased target rows and per-lookup targets for the fused BTB window.
+    """
+
+    def _make_window(self, plan: WindowPlan):
+        tokens = plan.tokens
+        block_size = 1 << self._offset_bits
+        blocks, _pcs, ends = tokens.access_view(block_size)
+        sets, tags = tokens.icache_geometry_view(
+            block_size, self._offset_bits, self._index_mask, self._tag_shift
+        )
+        return self._stream_window(blocks, sets, tags, ends, None, None, None)
+
+    def begin_btb_window(self, plan: WindowPlan, wrapper: "BTBKernel"):
+        tokens = plan.tokens
+        blocks, sets, tags = tokens.btb_geometry_view(
+            wrapper.btb.geometry.block_size,
+            self._offset_bits,
+            self._index_mask,
+            self._tag_shift,
+        )
+        return self._stream_window(
+            blocks, sets, tags, tokens.btb_end, wrapper._targets, tokens.btarget, wrapper
+        )
+
+    @abc.abstractmethod
+    def _stream_window(self, blocks, sets, tags, ends, targets, btarget, wrapper):
+        """Build ``(span, None)`` over one access stream.
+
+        ``blocks``/``sets``/``tags`` are the stream's per-access arrays
+        and ``ends[r]`` the number of accesses through record ``r``.  For
+        the BTB stream, ``targets`` are the aliased per-set target rows
+        and ``btarget`` the per-lookup branch targets.  Each span call
+        ends with :meth:`_end_span`, so nothing is left to flush.
+        """
+
+    def _end_span(
+        self,
+        accesses: int,
+        misses: int,
+        evictions: int,
+        set_index: int,
+        way: int,
+        wrapper: "BTBKernel | None",
+        target_mispredictions: int,
+    ) -> None:
+        """Fold one span's counts into the delta counters.
+
+        These policies never bypass, so every access that did not miss
+        hit; the span loop counts only misses.
+        """
+        self._d_hits += accesses - misses
+        self._d_misses += misses
+        self._d_evictions += evictions
+        self.set_index = set_index
+        self.way = way
+        if wrapper is not None:
+            wrapper._d_target_mispredictions += target_mispredictions
 
 
 class BTBKernel(BatchKernel):

@@ -26,9 +26,10 @@ Two execution strategies share the kernels:
   snapshots observe identical state at identical points.
 
 The fast path is all-or-nothing per front end: both the I-cache and BTB
-policies must have registered batch kernels, and features that are not
-kernelized (prefetching, cache-efficiency tracking) force the reference
-engine.  :func:`fast_path_unsupported_reason` is the single gate,
+policies must have registered batch kernels (all five paper policies —
+LRU, Random, SRRIP, SDBP, GHRP — do; MRU, BRRIP and DRRIP do not), and
+features that are not kernelized (prefetching, cache-efficiency
+tracking) force the reference engine.  :func:`fast_path_unsupported_reason` is the single gate,
 consulted by :func:`repro.frontend.engine.build_frontend`.
 """
 

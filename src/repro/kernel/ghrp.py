@@ -412,21 +412,14 @@ class GHRPCacheKernel(CacheKernel):
         predicted_dead: bool,
     ) -> None:
         """Reference ``_emit_eviction`` + GHRP ``victim_telemetry`` payload."""
-        obs = self.obs
-        obs.inc(self._m_evictions)
-        if predicted_dead:
-            obs.inc(self._m_dead_evictions)
         recency = self._last_use[set_index]
-        obs.event(
-            "eviction",
-            structure=self.scope,
-            set=set_index,
-            way=way,
-            victim_address=self._victim_address(row, set_index, way),
-            predicted_dead=predicted_dead,
-            incoming_address=block,
-            pc=pc,
-            cause="demand",
+        super()._emit_eviction(
+            set_index,
+            way,
+            row,
+            block,
+            pc,
+            predicted_dead,
             signature=self._signatures[set_index][way],
             predicted_dead_vote=self._pred_dead[set_index][way],
             lru_position=sum(1 for value in recency if value > recency[way]),
@@ -1148,10 +1141,6 @@ class GHRPBTBKernel(CacheKernel):
         pc: int,
         predicted_dead: bool,
     ) -> None:
-        obs = self.obs
-        obs.inc(self._m_evictions)
-        if predicted_dead:
-            obs.inc(self._m_dead_evictions)
         recency = self._last_use[set_index]
         telemetry = {
             "predicted_dead_vote": self._pred_dead[set_index][way],
@@ -1159,17 +1148,8 @@ class GHRPBTBKernel(CacheKernel):
         }
         if self.standalone:
             telemetry["signature"] = self._signatures[set_index][way]
-        obs.event(
-            "eviction",
-            structure=self.scope,
-            set=set_index,
-            way=way,
-            victim_address=self._victim_address(row, set_index, way),
-            predicted_dead=predicted_dead,
-            incoming_address=block,
-            pc=pc,
-            cause="demand",
-            **telemetry,
+        super()._emit_eviction(
+            set_index, way, row, block, pc, predicted_dead, **telemetry
         )
 
     # ------------------------------------------------------------------

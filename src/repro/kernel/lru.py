@@ -5,22 +5,23 @@ clock, per-way timestamps, first-minimum victim selection.  Not valid for
 ``MRUPolicy`` (different victim rule), which therefore stays on the
 reference engine.
 
-The batch executors replace the per-access ``row.index(tag)`` probe with
-one block-map dict lookup and keep the statistic counters in closure
-locals, flushed at chunk barriers.
+The batch executor replaces the per-access ``row.index(tag)`` probe with
+one block-map dict lookup and keeps the statistic counters in locals,
+folded into the kernel's deltas at the end of every chunk; one loop
+serves the I-cache stream and the fused BTB stream.
 """
 
 from __future__ import annotations
 
 from repro.cache.set_assoc import _INVALID_TAG
-from repro.kernel.base import FILL, HIT, CacheKernel, WindowPlan, batch_kernel
+from repro.kernel.base import FILL, HIT, StreamKernel, batch_kernel
 from repro.policies.lru import LRUPolicy
 
 __all__ = ["LRUKernel"]
 
 
 @batch_kernel(LRUPolicy)
-class LRUKernel(CacheKernel):
+class LRUKernel(StreamKernel):
     """LRU on aliased timestamp rows; never bypasses, never predicts dead."""
 
     def __init__(self, cache, policy: LRUPolicy):
@@ -64,18 +65,7 @@ class LRUKernel(CacheKernel):
             way = recency.index(min(recency))
             self._d_evictions += 1
             if self._obs_on:
-                self.obs.inc(self._m_evictions)
-                self.obs.event(
-                    "eviction",
-                    structure=self.scope,
-                    set=set_index,
-                    way=way,
-                    victim_address=self._victim_address(row, set_index, way),
-                    predicted_dead=False,
-                    incoming_address=block,
-                    pc=pc,
-                    cause="demand",
-                )
+                self._emit_eviction(set_index, way, row, block, pc)
         row[way] = tag
         self._d_misses += 1
         tick = clock[set_index] + 1
@@ -88,15 +78,9 @@ class LRUKernel(CacheKernel):
         return FILL
 
     # ------------------------------------------------------------------
-    # Batch executors
+    # Batch executor (I-cache and fused BTB streams)
     # ------------------------------------------------------------------
-    def _make_window(self, plan: WindowPlan):
-        tokens = plan.tokens
-        block_size = 1 << self._offset_bits
-        blocks, _pcs, acc_end = tokens.access_view(block_size)
-        sets, atags = tokens.icache_geometry_view(
-            block_size, self._offset_bits, self._index_mask, self._tag_shift
-        )
+    def _stream_window(self, blocks, sets, tags, ends, targets, btarget, wrapper):
         if self._blockmap is None:
             self._blockmap = self._build_blockmap()
         bm = self._blockmap
@@ -106,125 +90,47 @@ class LRUKernel(CacheKernel):
         tag_shift = self._tag_shift
         offset_bits = self._offset_bits
         cursor = 0
-        d_hits = d_misses = d_evictions = 0
-        last_set = -1
-        last_way = 0
 
         def span(lo: int, hi: int) -> None:
-            nonlocal cursor, d_hits, d_misses, d_evictions, last_set, last_way
-            end = acc_end[hi - 1] if hi > 0 else 0
-            i = cursor
+            nonlocal cursor
+            end = ends[hi - 1] if hi > 0 else 0
+            i = start = cursor
             if i >= end:
                 return
             bmget = bm.get
-            set_index = 0
-            way = 0
+            misses = evictions = target_misp = 0
+            set_index = way = 0
             while i < end:
                 block = blocks[i]
                 set_index = sets[i]
                 way = bmget(block, -1)
                 if way >= 0:
-                    d_hits += 1
+                    if targets is not None:
+                        trow = targets[set_index]
+                        if trow[way] != btarget[i]:
+                            target_misp += 1
+                            trow[way] = btarget[i]
                 else:
                     row = rows[set_index]
-                    try:
+                    if _INVALID_TAG in row:
                         way = row.index(_INVALID_TAG)
-                    except ValueError:
+                    else:
                         recency = last_use[set_index]
                         way = recency.index(min(recency))
-                        d_evictions += 1
-                        del bm[
-                            (row[way] << tag_shift) | (set_index << offset_bits)
-                        ]
-                    row[way] = atags[i]
+                        evictions += 1
+                        del bm[(row[way] << tag_shift) | (set_index << offset_bits)]
+                    row[way] = tags[i]
                     bm[block] = way
-                    d_misses += 1
+                    misses += 1
+                    if targets is not None:
+                        targets[set_index][way] = btarget[i]
                 tick = clock[set_index] + 1
                 clock[set_index] = tick
                 last_use[set_index][way] = tick
                 i += 1
             cursor = end
-            last_set = set_index
-            last_way = way
+            self._end_span(
+                end - start, misses, evictions, set_index, way, wrapper, target_misp
+            )
 
-        def flush() -> None:
-            nonlocal d_hits, d_misses, d_evictions
-            self._d_hits += d_hits
-            self._d_misses += d_misses
-            self._d_evictions += d_evictions
-            d_hits = d_misses = d_evictions = 0
-            if last_set >= 0:
-                self.set_index = last_set
-                self.way = last_way
-
-        return span, flush
-
-    def begin_btb_window(self, plan: WindowPlan, wrapper):
-        """Fused BTB executor: replacement + target array in one loop."""
-        tokens = plan.tokens
-        geometry = wrapper.btb.geometry
-        bblocks, bsets, btags = tokens.btb_geometry_view(
-            geometry.block_size, self._offset_bits, self._index_mask, self._tag_shift
-        )
-        btarget = tokens.btarget
-        btb_end = tokens.btb_end
-        if self._blockmap is None:
-            self._blockmap = self._build_blockmap()
-        bm = self._blockmap
-        rows = self._tags
-        targets = wrapper._targets
-        last_use = self._last_use
-        clock = self._clock
-        tag_shift = self._tag_shift
-        offset_bits = self._offset_bits
-        cursor = 0
-        d_hits = d_misses = d_evictions = 0
-        d_target_misp = 0
-
-        def span(lo: int, hi: int) -> None:
-            nonlocal cursor, d_hits, d_misses, d_evictions, d_target_misp
-            end = btb_end[hi - 1] if hi > 0 else 0
-            j = cursor
-            bmget = bm.get
-            while j < end:
-                block = bblocks[j]
-                set_index = bsets[j]
-                tgt = btarget[j]
-                way = bmget(block, -1)
-                if way >= 0:
-                    d_hits += 1
-                    trow = targets[set_index]
-                    if trow[way] != tgt:
-                        d_target_misp += 1
-                        trow[way] = tgt
-                else:
-                    row = rows[set_index]
-                    try:
-                        way = row.index(_INVALID_TAG)
-                    except ValueError:
-                        recency = last_use[set_index]
-                        way = recency.index(min(recency))
-                        d_evictions += 1
-                        del bm[
-                            (row[way] << tag_shift) | (set_index << offset_bits)
-                        ]
-                    row[way] = btags[j]
-                    bm[block] = way
-                    d_misses += 1
-                    targets[set_index][way] = tgt
-                tick = clock[set_index] + 1
-                clock[set_index] = tick
-                last_use[set_index][way] = tick
-                j += 1
-            cursor = end
-
-        def flush() -> None:
-            nonlocal d_hits, d_misses, d_evictions, d_target_misp
-            self._d_hits += d_hits
-            self._d_misses += d_misses
-            self._d_evictions += d_evictions
-            wrapper._d_target_mispredictions += d_target_misp
-            d_hits = d_misses = d_evictions = 0
-            d_target_misp = 0
-
-        return span, flush
+        return span, None

@@ -193,21 +193,7 @@ class SDBPKernel(CacheKernel):
             if predicted_dead:
                 self._d_dead_evictions += 1
             if self._obs_on:
-                obs = self.obs
-                obs.inc(self._m_evictions)
-                if predicted_dead:
-                    obs.inc(self._m_dead_evictions)
-                obs.event(
-                    "eviction",
-                    structure=self.scope,
-                    set=set_index,
-                    way=way,
-                    victim_address=self._victim_address(row, set_index, way),
-                    predicted_dead=predicted_dead,
-                    incoming_address=block,
-                    pc=pc,
-                    cause="demand",
-                )
+                self._emit_eviction(set_index, way, row, block, pc, predicted_dead)
             dead_bits[way] = False
         row[way] = tag
         self._sampler_access(set_index, block, pc)

@@ -52,9 +52,11 @@ def _bank_digest(bank) -> dict:
 
 def _policy_digest(policy) -> dict:
     out = {"type": type(policy).__name__}
-    for attr in ("_signatures", "_pred_dead", "_last_use", "_clock"):
+    for attr in ("_signatures", "_pred_dead", "_last_use", "_clock", "_rrpv"):
         if hasattr(policy, attr):
             out[attr] = getattr(policy, attr)
+    if hasattr(policy, "_rng"):
+        out["rng_state"] = policy._rng.getstate()
     if hasattr(policy, "tables"):
         out["tables"] = _bank_digest(policy.tables)
     if hasattr(policy, "predictor"):

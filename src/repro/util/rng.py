@@ -49,6 +49,12 @@ class DeterministicRng(random.Random):
             raise ValueError("DeterministicRng requires an explicit seed")
         super().__init__(seed)
 
+    def __reduce__(self):
+        # random.Random rebuilds from ``cls()``, which the required seed
+        # refuses; rebuild from any seed and restore the exact state, so
+        # pickle and deepcopy continue the same draw sequence.
+        return (type(self), (0,), self.getstate())
+
     def fork(self, *components: int | str) -> "DeterministicRng":
         """Create an independent child stream identified by ``components``."""
         return DeterministicRng(derive_seed(self.getrandbits(64), *components))

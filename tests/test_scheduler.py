@@ -572,6 +572,22 @@ class TestSnapshots:
         assert grid_signature_of(second) == grid_signature_of(plain)
         assert snapshots.writes == 1 and snapshots.hits == 1
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_random_snapshot_round_trips(self, tmp_path, workloads, config, engine):
+        # Random's DeterministicRng must survive the pickle: an
+        # unpicklable body would be quarantined and silently re-warmed.
+        snapshots = SnapshotStore(tmp_path / "snapshots")
+        plain = run_cell(workloads[0], "random", config, engine=engine)
+        _, note_first = run_cell_snapshotted(
+            workloads[0], "random", config, snapshots, engine=engine
+        )
+        cell, note_second = run_cell_snapshotted(
+            workloads[0], "random", config, snapshots, engine=engine
+        )
+        assert (note_first, note_second) == ("snapshot-write", "snapshot-hit")
+        assert grid_signature_of(cell) == grid_signature_of(plain)
+        assert not list(snapshots.root.rglob("*.corrupt*"))
+
     def test_corrupt_snapshot_falls_back_to_full_run(
         self, tmp_path, workloads, config
     ):

@@ -1,5 +1,8 @@
 """Tests for skewed hashing and deterministic RNG helpers."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +77,20 @@ class TestDeterministicRng:
     def test_fork_labels_differ(self):
         parent = DeterministicRng(7)
         assert parent.fork("x").random() != parent.fork("x").random()
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda rng: pickle.loads(pickle.dumps(rng)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_clone_continues_the_draw_sequence(self, clone):
+        rng = DeterministicRng(7)
+        rng.randrange(5)  # move off the seeded state
+        twin = clone(rng)
+        assert type(twin) is DeterministicRng
+        assert [twin.randrange(7) for _ in range(50)] == [
+            rng.randrange(7) for _ in range(50)
+        ]
 
 
 class TestDeriveSeed:
